@@ -18,8 +18,9 @@ from fractions import Fraction
 from .exact import decimal_str, format_exact, parse_exact
 from .expansion import OutOfDomain, Params, expand
 from .matching import (BadRational, MatchReport, MismatchDetected,
-                       bad_rational_certificate, detect_matching,
-                       matching_interval, verify_theorem_intervals)
+                       NoMatchWithinBudget, bad_rational_certificate,
+                       detect_matching, matching_interval,
+                       verify_theorem_intervals)
 from .orbits import InvariantViolation, orbit_quadratic, orbit_rational
 from .paramspace import NotApplicable, kset, no_matching_regions
 
@@ -122,7 +123,7 @@ def _cmd_match(args, cfg):
             out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
         except BadRational:
             out["stable_exponents"] = None
-    elif report.obstruction is not None:
+    elif isinstance(report, NoMatchWithinBudget) and report.obstruction is not None:
         out["certificates"].append(report.obstruction.to_json())
     _emit(out, cfg["format"], cfg["precision"])
     if not isinstance(report, MatchReport):

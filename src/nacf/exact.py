@@ -377,7 +377,12 @@ def solve_mobius_fixed_point(m, shift: int, lo=None, hi=None) -> ExactNumber:
 
 
 def rational_between(lo, hi) -> Fraction:
-    """Some exact rational strictly inside the nonempty open interval (lo, hi)."""
+    """Some exact rational strictly inside the nonempty open interval (lo, hi).
+
+    Raises ValueError when lo >= hi.  Only an empty or extremely narrow
+    interval gets past denominator 2**64, so the emptiness test runs there
+    and nowhere else.
+    """
     k = 1
     while True:
         n = floor_exact(_as_exact(lo) * k) + 1
@@ -385,6 +390,8 @@ def rational_between(lo, hi) -> Fraction:
         if compare_exact(q, hi) < 0 and compare_exact(lo, q) < 0:
             return q
         k *= 2
+        if k == 1 << 64 and compare_exact(lo, hi) >= 0:
+            raise ValueError("empty interval: lo >= hi")
 
 
 def decimal_str(x, places: int) -> str:

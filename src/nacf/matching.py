@@ -7,6 +7,18 @@ digit matrices of the two orbits; stable pairs persist on a parameter
 interval obtained by intersecting two cylinder intervals.  Rationals that
 sit in no matching interval admit a mod-2 obstruction certificate, and a
 mod-N congruence obstruction rules out matching inside the coprime region.
+
+Stability is constant along each diagonal K - L.  The digit of a point
+depends on the point alone, so once T^K(alpha) = T^L(alpha + 1) both orbits
+continue through the same digits, and M_{K+j} = M_K W_j, M_{L+j} = M_L W_j
+with the same invertible W_j.  Hence ADD_ONE * M_{K+j} ~ M_{L+j} exactly
+when ADD_ONE * M_K ~ M_L, and any two matched pairs on one diagonal are
+related this way.  The scan for stable exponents therefore decides each
+diagonal once, at its first matched pair.
+
+Both endpoint orbits and their prefix matrices are held by one
+_EndpointOrbits object, computed once per parameter and shared by every
+check made for that parameter.
 """
 
 from __future__ import annotations
@@ -17,8 +29,8 @@ from typing import Optional, Sequence, Union
 
 from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
                     rational_between, solve_mobius_fixed_point, surd, _as_exact)
-from .expansion import (ADD_ONE, DigitWord, Mobius, Params, alpha_max,
-                        all_digits_coprime, branch_product, digit_set, expand,
+from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
+                        alpha_max, all_digits_coprime, digit_set,
                         projective_equiv)
 from .orbits import orbit_rational
 
@@ -83,8 +95,14 @@ class ParamInterval:
         return ParamInterval(lo, hi, lo_open, hi_open)
 
     def sample(self) -> Fraction:
-        """An exact rational strictly inside the interval."""
-        return rational_between(self.lo, self.hi)
+        """An exact rational strictly inside the interval.
+
+        A one-point interval [a, a] has no interior and raises EmptyInterval.
+        """
+        try:
+            return rational_between(self.lo, self.hi)
+        except ValueError as exc:
+            raise EmptyInterval(f"no interior: {self}") from exc
 
     def to_json(self) -> dict:
         return {"lo": format_exact(self.lo), "hi": format_exact(self.hi),
@@ -130,33 +148,70 @@ class NoMatchWithinBudget:
                 else self.obstruction.to_json()}
 
 
-def _orbit_data(x0, p: Params, count: int) -> tuple[list, list]:
-    """Values x_0..x_count and digits d_1..d_count, extended through cycles.
+class _Orbit:
+    """Values x_0..x_count and digits d_1..d_count of one exact orbit, plus
+    its prefix matrices M_0 = I, M_k = M_{k-1} * branch(d_k).
 
     The underlying orbit stops at the first repeated value; values and
-    digits beyond that point are filled in from the detected cycle.
+    digits beyond that point are filled in from the detected cycle.  Prefix
+    matrices are built on demand, up to the largest index asked for.
     """
-    trace = orbit_rational(x0, p, count)
-    values = [st.value for st in trace.states]
-    digits = list(trace.digits)
-    v = trace.verdict
-    while len(digits) < count:
-        idx = v.pre_period + ((len(digits) - v.pre_period) % v.period)
-        digits.append(trace.digits[idx])
-        values.append(values[idx + 1])
-    return values[:count + 1], digits
+
+    def __init__(self, x0, p: Params, count: int):
+        trace = orbit_rational(x0, p, count)
+        values = [st.value for st in trace.states]
+        digits = list(trace.digits)
+        v = trace.verdict
+        while len(digits) < count:
+            idx = v.pre_period + ((len(digits) - v.pre_period) % v.period)
+            digits.append(trace.digits[idx])
+            values.append(values[idx + 1])
+        self.n = p.N
+        self.values = values
+        self.digits = digits
+        self._matrices = [IDENTITY]
+
+    def matrix(self, k: int) -> Mobius:
+        ms = self._matrices
+        while len(ms) <= k:
+            ms.append(ms[-1] @ Mobius.branch(self.n, self.digits[len(ms) - 1]))
+        return ms[k]
 
 
-def _endpoint_orbits(alpha: Fraction, n: int, budget: int):
-    p = Params(n, alpha)
-    va, da = _orbit_data(alpha, p, budget)
-    vb, db = _orbit_data(alpha + 1, p, budget)
-    return p, (va, da), (vb, db)
+class _EndpointOrbits:
+    """The orbits of alpha (``a``) and alpha + 1 (``b``) over ``count`` steps.
+
+    Built once per parameter; every check made for that parameter reads the
+    same values, digits and prefix matrices, each up to its own budget.
+    """
+
+    def __init__(self, alpha, n: int, count: int):
+        p = Params(n, alpha)
+        self.alpha, self.N = p.alpha, n
+        self.a = _Orbit(p.alpha, p, count)
+        self.b = _Orbit(p.upper, p, count)
+
+    def stability(self, k: int, l: int) -> str:
+        if projective_equiv(ADD_ONE @ self.a.matrix(k), self.b.matrix(l)):
+            return STABLE
+        return UNSTABLE if self.N == 2 else UNKNOWN
+
+    def diagonal_heads(self, budget: int):
+        """The first matched pair (K, L) with 1 <= K, L <= budget on each
+        diagonal K - L, in (K+L, K) order.  Later pairs on a diagonal share
+        its stability verdict (see the module docstring)."""
+        ids: dict = {}
+        va = [ids.setdefault(v, len(ids)) for v in self.a.values[:budget + 1]]
+        vb = [ids.setdefault(v, len(ids)) for v in self.b.values[:budget + 1]]
+        seen = set()
+        for s in range(2, 2 * budget + 1):
+            for k in range(max(1, s - budget), min(s - 1, budget) + 1):
+                if va[k] == vb[s - k] and 2 * k - s not in seen:
+                    seen.add(2 * k - s)
+                    yield k, s - k
 
 
-def _minimal_match(orbit_a, orbit_b) -> Optional[tuple[int, int, Fraction]]:
-    va, _ = orbit_a
-    vb, _ = orbit_b
+def _minimal_match(va, vb) -> Optional[tuple[int, int, Fraction]]:
     first_a: dict = {}
     for i, value in enumerate(va):
         first_a.setdefault(value, i)
@@ -185,24 +240,18 @@ def detect_matching(alpha, n: int, budget: int = 500
     alpha = _as_exact(alpha)
     if not isinstance(alpha, Fraction):
         raise ValueError("matching detection works on rational parameters")
-    _, orbit_a, orbit_b = _endpoint_orbits(alpha, n, budget)
-    hit = _minimal_match(orbit_a, orbit_b)
+    return _detect_matching(_EndpointOrbits(alpha, n, budget), budget)
+
+
+def _detect_matching(orbits: _EndpointOrbits, budget: int
+                     ) -> Union[MatchReport, NoMatchWithinBudget]:
+    alpha, n = orbits.alpha, orbits.N
+    hit = _minimal_match(orbits.a.values[:budget + 1], orbits.b.values[:budget + 1])
     if hit is None:
         obs = no_matching_obstruction(alpha, n)
         return NoMatchWithinBudget(alpha, n, budget, obs if obs.holds else None)
     k, l, value = hit
-    verdict = _stability(orbit_a[1], orbit_b[1], n, k, l)
-    return MatchReport(alpha, n, k, l, value, verdict)
-
-
-def _stability(digits_a: Sequence[int], digits_b: Sequence[int],
-               n: int, k: int, l: int) -> str:
-    ma = branch_product(n, digits_a[:k])
-    mb = branch_product(n, digits_b[:l])
-    equiv = projective_equiv(ADD_ONE @ ma, mb)
-    if equiv:
-        return STABLE
-    return UNSTABLE if n == 2 else UNKNOWN
+    return MatchReport(alpha, n, k, l, value, orbits.stability(k, l))
 
 
 def stability_check(alpha, n: int, k: int, l: int) -> str:
@@ -212,28 +261,26 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     non-equivalence is conclusive only for N = 2 and is otherwise reported
     as unknown.
     """
-    alpha = _as_exact(alpha)
-    budget = max(k, l) + 1
-    _, orbit_a, orbit_b = _endpoint_orbits(alpha, n, budget)
-    if orbit_a[0][k] != orbit_b[0][l]:
+    return _stability_check(_EndpointOrbits(_as_exact(alpha), n, max(k, l) + 1), k, l)
+
+
+def _stability_check(orbits: _EndpointOrbits, k: int, l: int) -> str:
+    if orbits.a.values[k] != orbits.b.values[l]:
         raise PrerequisiteNotMet(f"T^{k}(alpha) != T^{l}(alpha+1)")
-    return _stability(orbit_a[1], orbit_b[1], n, k, l)
+    return orbits.stability(k, l)
 
 
 def orbit_matrices(alpha, n: int, count: int, plus_one: bool = False) -> list[Mobius]:
     """[M_1 .. M_count] for the orbit of alpha (or alpha + 1)."""
     p = Params(n, _as_exact(alpha))
-    x0 = p.upper if plus_one else p.alpha
-    _, digits = _orbit_data(x0, p, count)
-    out, m = [], Mobius(1, 0, 0, 1)
-    for d in digits:
-        m = m @ Mobius.branch(n, d)
-        out.append(m)
-    return out
+    orbit = _Orbit(p.upper if plus_one else p.alpha, p, count)
+    return [orbit.matrix(k) for k in range(1, count + 1)]
 
 
-def _level_interval(kind: str, digits: tuple, n: int) -> ParamInterval:
-    # Boundary equations for the last digit of the prefix: one for the word
+def _level_interval(kind: str, prefix: Mobius, last: int, depth: int,
+                    n: int) -> ParamInterval:
+    # Boundary equations for the last digit of a prefix of length ``depth``,
+    # given the matrix ``prefix`` of the digits before it: one for the word
     # with that digit increased, one for the word itself when the digit
     # exceeds one, or for the word shortened by one with the argument shifted
     # by one when it equals one (the orbit exits through alpha + 1 there).
@@ -247,16 +294,15 @@ def _level_interval(kind: str, digits: tuple, n: int) -> ParamInterval:
         except NoRootInRange:
             return None
 
-    bumped = branch_product(n, digits[:-1] + (digits[-1] + 1,))
-    a1 = boundary(bumped)
-    if digits[-1] > 1:
-        a2 = boundary(branch_product(n, digits))
-    elif len(digits) >= 2:
-        a2 = boundary(branch_product(n, digits[:-1]) @ ADD_ONE)
+    a1 = boundary(prefix @ Mobius.branch(n, last + 1))
+    if last > 1:
+        a2 = boundary(prefix @ Mobius.branch(n, last))
+    elif depth >= 2:
+        a2 = boundary(prefix @ ADD_ONE)
     else:
         a2 = None
 
-    lo, hi = (a1, a2) if len(digits) % 2 == 1 else (a2, a1)
+    lo, hi = (a1, a2) if depth % 2 == 1 else (a2, a1)
     edge = alpha_max(n)
     if lo is None:
         raise EmptyInterval("left boundary has no positive solution")
@@ -280,9 +326,11 @@ def cylinder_interval(kind: str, digits: Sequence[int], n: int) -> ParamInterval
         raise ValueError("need a nonempty prefix of positive digits")
     if kind not in ("alpha", "alpha_plus_one"):
         raise ValueError("kind must be 'alpha' or 'alpha_plus_one'")
-    interval = _level_interval(kind, digits[:1], n)
-    for j in range(2, len(digits) + 1):
-        interval = interval.intersect(_level_interval(kind, digits[:j], n))
+    interval, prefix = None, IDENTITY
+    for depth, d in enumerate(digits, 1):
+        level = _level_interval(kind, prefix, d, depth, n)
+        interval = level if interval is None else interval.intersect(level)
+        prefix = prefix @ Mobius.branch(n, d)
     return interval
 
 
@@ -304,31 +352,29 @@ def matching_interval(alpha, n: int, budget: int = 40) -> MatchingInterval:
     """Stable exponents and the surrounding parameter interval (N = 2 only).
 
     Scans matched pairs in (K+L, K) order for the first projectively stable
-    one and intersects the two cylinder intervals of the orbits' digit
-    prefixes.  Raises BadRational when no stable pair exists within the
-    budget (a candidate bad rational, not a proof).
+    one, deciding stability once per diagonal K - L, and intersects the two
+    cylinder intervals of the orbits' digit prefixes.  Raises BadRational
+    when no stable pair exists within the budget (a candidate bad rational,
+    not a proof).
     """
     alpha = _as_exact(alpha)
     if n != 2:
         raise ValueError("matching intervals are proof-backed only for N = 2")
-    _, (va, da), (vb, db) = _endpoint_orbits(alpha, n, budget)
-    pairs = []
-    for j, vj in enumerate(vb):
-        for i, vi in enumerate(va):
-            if vi == vj:
-                pairs.append((i + j, i, j))
-    for _, k, l in sorted(set(pairs)):
-        if k == 0 or l == 0:
-            continue  # no digit prefix to pin a cylinder with
-        if _stability(da, db, n, k, l) != STABLE:
+    return _matching_interval(_EndpointOrbits(alpha, n, budget), budget)
+
+
+def _matching_interval(orbits: _EndpointOrbits, budget: int) -> MatchingInterval:
+    # Pairs with K = 0 or L = 0 have no digit prefix to pin a cylinder with.
+    for k, l in orbits.diagonal_heads(budget):
+        if orbits.stability(k, l) != STABLE:
             continue
-        cyl_a = cylinder_interval("alpha", da[:k], n)
-        cyl_b = cylinder_interval("alpha_plus_one", db[:l], n)
+        cyl_a = cylinder_interval("alpha", orbits.a.digits[:k], orbits.N)
+        cyl_b = cylinder_interval("alpha_plus_one", orbits.b.digits[:l], orbits.N)
         interval = cyl_a.intersect(cyl_b)
-        if not interval.contains(alpha):
+        if not interval.contains(orbits.alpha):
             raise MismatchDetected("stable pair's interval misses alpha")
-        return MatchingInterval(alpha, n, k, l, interval)
-    raise BadRational(alpha, n, budget)
+        return MatchingInterval(orbits.alpha, orbits.N, k, l, interval)
+    raise BadRational(orbits.alpha, orbits.N, budget)
 
 
 @dataclass(frozen=True)
@@ -418,19 +464,16 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
     if n < 3:
         raise ValueError("the family starts at n = 3")
     alpha = Fraction(1, 2 ** n)
-    p = Params(2, alpha)
     pad = n + 6
     word_a = DigitWord((2 ** (n + 1) - 1,), (1,))
     word_b = DigitWord((1, 2, 2 ** (n - 1) - 1, 3), (1,))
-    ok = expand(alpha, p, pad).prefix == word_a.head(pad)
-    ok = ok and expand(alpha + 1, p, pad).prefix == word_b.head(pad)
+    orbits = _EndpointOrbits(alpha, 2, pad)
+    ok = tuple(orbits.a.digits) == word_a.head(pad)
+    ok = ok and tuple(orbits.b.digits) == word_b.head(pad)
+    ok = ok and orbits.a.values[1] == Fraction(1) == orbits.b.values[4]
 
-    ta = orbit_rational(alpha, p, 8)
-    tb = orbit_rational(alpha + 1, p, 8)
-    ok = ok and ta.states[1].value == Fraction(1) == tb.states[4].value
-
-    rm = ADD_ONE @ branch_product(2, ta.digits[:1])
-    m4 = branch_product(2, tb.digits[:4])
+    rm = ADD_ONE @ orbits.a.matrix(1)
+    m4 = orbits.b.matrix(4)
     two = 2 ** (n + 1)
     ok = ok and rm == Mobius(1, two + 1, 1, two - 1)
     ok = ok and m4 == Mobius(two, 3 * two + 8, two - 2, 3 * two + 2)
@@ -443,20 +486,18 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
     for cls in ((1, 1, 1, 1), (0, 0, 1, 1)):
         stepped = Mobius(*cls) @ b1
         ok = ok and stepped.entries_mod(2) == cls
-    ok = ok and all(d == 1 for d in ta.digits[1:]) and all(d == 1 for d in tb.digits[4:])
 
     return BadRationalCertificate(n, alpha, word_a, word_b, (1, 4), rm, m4, ok)
 
 
 def equivalence_scan(alpha, n: int, max_k: int, max_l: int) -> list[tuple[int, int]]:
     """All (K, L) with ADD_ONE*M_K projectively equivalent to M_L."""
-    mas = orbit_matrices(alpha, n, max_k)
-    mbs = orbit_matrices(alpha, n, max_l, plus_one=True)
+    orbits = _EndpointOrbits(_as_exact(alpha), n, max(max_k, max_l))
     hits = []
-    for k, ma in enumerate(mas, 1):
-        rma = ADD_ONE @ ma
-        for l, mb in enumerate(mbs, 1):
-            if projective_equiv(rma, mb):
+    for k in range(1, max_k + 1):
+        rma = ADD_ONE @ orbits.a.matrix(k)
+        for l in range(1, max_l + 1):
+            if projective_equiv(rma, orbits.b.matrix(l)):
                 hits.append((k, l))
     return hits
 
@@ -511,6 +552,7 @@ def _family_table():
 
 
 FAMILIES = _family_table()
+_FAMILY_MATCH_BUDGET = 64  # point-match scan budget for the family checks
 
 
 @dataclass(frozen=True)
@@ -535,23 +577,26 @@ class FamilyCheck:
 
 
 def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyCheck:
-    """Recompute one member of a matching-interval family against its closed forms."""
+    """Recompute one member of a matching-interval family against its closed forms.
+
+    Both endpoint orbits are computed once; the expansion, matrix,
+    stability, point-match and interval checks all read them.
+    """
     forms = FAMILIES[family]
     alpha = forms["alpha"](k)
     kk, ll = forms["exponents"]
-    p = Params(2, alpha)
     failures = []
 
     word_a, word_b = forms["word_alpha"](k), forms["word_alpha_plus_one"](k)
     pad = max(kk, ll) + len(word_b.prefix) + 4
-    if expand(alpha, p, pad).prefix != word_a.head(pad):
+    orbits = _EndpointOrbits(alpha, 2, max(pad, _FAMILY_MATCH_BUDGET))
+    if tuple(orbits.a.digits[:pad]) != word_a.head(pad):
         failures.append("expansion of alpha")
-    if expand(alpha + 1, p, pad).prefix != word_b.head(pad):
+    if tuple(orbits.b.digits[:pad]) != word_b.head(pad):
         failures.append("expansion of alpha+1")
 
-    ma = orbit_matrices(alpha, 2, kk)[-1]
-    mb = orbit_matrices(alpha, 2, ll, plus_one=True)[-1]
-    rm = ADD_ONE @ ma
+    rm = ADD_ONE @ orbits.a.matrix(kk)
+    mb = orbits.b.matrix(ll)
     if rm != forms["rm"](k):
         failures.append("matrix for alpha")
     if mb != rm.scaled(forms["m_scale"]):
@@ -559,18 +604,18 @@ def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyChe
     if not projective_equiv(rm, mb):
         failures.append("projective equivalence")
     try:
-        if stability_check(alpha, 2, kk, ll) != STABLE:
+        if _stability_check(orbits, kk, ll) != STABLE:
             failures.append("stability")
     except PrerequisiteNotMet:
         failures.append("stability (exponents do not match)")
 
     interval = None
     if not matrices_only:
-        det = detect_matching(alpha, 2, budget=64)
+        det = _detect_matching(orbits, _FAMILY_MATCH_BUDGET)
         if not isinstance(det, MatchReport) or (det.K, det.L) != forms["point_exponents"]:
             failures.append("point-match exponents")
         try:
-            mi = matching_interval(alpha, 2, budget=max(kk, ll) + 8)
+            mi = _matching_interval(orbits, max(kk, ll) + 8)
         except (BadRational, EmptyInterval, MismatchDetected) as exc:
             failures.append(f"matching interval ({exc})")
         else:

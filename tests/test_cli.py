@@ -65,6 +65,16 @@ def test_match_negative_exit(capsys):
     assert data["match"] is None and data["obstruction"]["holds"]
 
 
+def test_match_above_two_reports_the_match(capsys):
+    # a found match for N != 2 has no obstruction to report and no interval
+    code, out, _ = run(capsys, "--format", "json", "match", "--alpha", "73/100", "--N", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["K"], data["L"], data["stable"]) == (3, 3, "stable")
+    assert data["certificates"] == []
+    assert "interval" not in data
+
+
 def test_interval_and_bad_rational(capsys):
     code, out, _ = run(capsys, "--format", "json", "interval", "--alpha", "2/9", "--N", "2")
     assert code == 0

@@ -241,3 +241,14 @@ def test_rational_between():
             a, b = b, a
         q = rational_between(a, b)
         assert compare_exact(a, q) < 0 < compare_exact(b, q)
+
+
+def test_rational_between_rejects_empty_intervals():
+    for lo, hi in ((Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 3)),
+                   (surd(-1, 1, 2), surd(-1, 1, 2)), (surd(1, 1, 3), Fraction(1))):
+        with pytest.raises(ValueError):
+            rational_between(lo, hi)
+    # narrower than 2**-64 is still nonempty and still answered
+    lo = Fraction(1, 3)
+    q = rational_between(lo, lo + Fraction(1, 2 ** 70))
+    assert lo < q < lo + Fraction(1, 2 ** 70)

@@ -1,17 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import nacf.matching
 from nacf.exact import compare_exact, rational_between, surd
-from nacf.expansion import ADD_ONE, Mobius, Params, expand, mobius_apply, step
+from nacf.expansion import (ADD_ONE, Mobius, Params, branch_product, expand,
+                            mobius_apply, projective_equiv, step)
 from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            EmptyInterval, MatchReport, NoMatchWithinBudget,
                            ParamInterval, PrerequisiteNotMet,
                            bad_rational_certificate, cylinder_interval,
                            detect_matching, equivalence_scan,
                            matching_interval, no_matching_obstruction,
-                           orbit_matrices, stability_check,
+                           orbit_matrices, stability_check, verify_family,
                            verify_theorem_intervals)
 
 
@@ -147,6 +150,10 @@ def test_param_interval_operations():
         ParamInterval(Fraction(1), Fraction(1))
     with pytest.raises(EmptyInterval):
         a.intersect(ParamInterval(Fraction(2), Fraction(3)))
+    point = ParamInterval(Fraction(1, 3), Fraction(1, 3), False, False)
+    assert point.contains(Fraction(1, 3))
+    with pytest.raises(EmptyInterval):
+        point.sample()  # no interior; must not loop
 
 
 def test_matching_interval_examples():
@@ -256,3 +263,100 @@ def test_verify_families_closed_forms():
     verify_theorem_intervals(["iii"], range(0, 3), strict=True)
     with pytest.raises(ValueError):
         verify_theorem_intervals("v", range(0, 1))
+
+
+def _scan_alphas():
+    """The 203 rationals p/q with q <= 40 in (0, sqrt(2)-1]."""
+    edge = surd(-1, 1, 2)
+    return sorted({Fraction(p, q) for q in range(2, 41) for p in range(1, q)
+                   if compare_exact(Fraction(p, q), edge) <= 0})
+
+
+def _reference_stable_pair(alpha, budget):
+    # Brute force: orbits by repeated steps, every matched pair tested with
+    # fresh branch products, the first stable one in (K+L, K) order.
+    p = Params(2, alpha)
+    orbits = []
+    for x in (alpha, alpha + 1):
+        values, digits = [x], []
+        for _ in range(budget):
+            d, x = step(x, p)
+            digits.append(d)
+            values.append(x)
+        orbits.append((values, digits))
+    (va, da), (vb, db) = orbits
+    pairs = sorted((k + l, k, l) for k in range(1, budget + 1)
+                   for l in range(1, budget + 1) if va[k] == vb[l])
+    for _, k, l in pairs:
+        if projective_equiv(ADD_ONE @ branch_product(2, da[:k]), branch_product(2, db[:l])):
+            interval = cylinder_interval("alpha", da[:k], 2).intersect(
+                cylinder_interval("alpha_plus_one", db[:l], 2))
+            return k, l, interval
+    return None
+
+
+def test_scan_intervals_are_disjoint_and_hold_their_alphas():
+    alphas = _scan_alphas()
+    assert len(alphas) == 203
+    found, bad = {}, 0
+    for alpha in alphas:
+        try:
+            mi = matching_interval(alpha, 2, budget=40)
+        except BadRational:
+            bad += 1
+            continue
+        found.setdefault(mi.interval, []).append(alpha)
+    assert bad == 161
+    assert len(found) == 22
+    for interval, members in found.items():
+        assert all(interval.contains(alpha) for alpha in members)
+    intervals = list(found)
+    for i, first in enumerate(intervals):
+        for second in intervals[i + 1:]:
+            with pytest.raises(EmptyInterval):
+                first.intersect(second)
+
+
+def test_scan_matches_brute_force_reference():
+    for alpha in _scan_alphas():
+        want = _reference_stable_pair(alpha, 12)
+        try:
+            mi = matching_interval(alpha, 2, budget=12)
+        except BadRational:
+            assert want is None, alpha
+        else:
+            assert (mi.K, mi.L, mi.interval) == want, alpha
+
+
+def _count_calls(monkeypatch):
+    calls = Counter()
+    equiv, orbit = nacf.matching.projective_equiv, nacf.matching.orbit_rational
+
+    def counted_equiv(m1, m2):
+        calls["projective_equiv"] += 1
+        return equiv(m1, m2)
+
+    def counted_orbit(x, p, budget=1000):
+        calls[x] += 1
+        return orbit(x, p, budget)
+
+    monkeypatch.setattr(nacf.matching, "projective_equiv", counted_equiv)
+    monkeypatch.setattr(nacf.matching, "orbit_rational", counted_orbit)
+    return calls
+
+
+def test_stability_is_decided_once_per_diagonal(monkeypatch):
+    # 1/8 matches on every diagonal and is stable on none; one check per
+    # diagonal K - L bounds the work by 2 * budget + 1 checks
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(BadRational):
+        matching_interval(Fraction(1, 8), 2, budget=40)
+    assert 0 < calls["projective_equiv"] <= 81
+
+
+def test_family_check_computes_each_endpoint_orbit_once(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    check = verify_family("i", 0)
+    assert check.ok
+    alpha = Fraction(2, 9)
+    assert calls[alpha] == 1 and calls[alpha + 1] == 1
