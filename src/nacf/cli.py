@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .exact import decimal_str, format_exact, parse_exact
@@ -22,7 +21,7 @@ from .matching import (BadRational, MatchReport, MismatchDetected,
                        detect_matching, matching_interval,
                        verify_theorem_intervals)
 from .orbits import InvariantViolation, orbit_quadratic, orbit_rational
-from .paramspace import NotApplicable, kset, no_matching_regions
+from .paramspace import NotApplicable, emit_kset_plot_data, no_matching_regions
 
 EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_NEGATIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -167,26 +166,9 @@ def _cmd_badrat(args, cfg):
     return EXIT_OK if cert.valid else EXIT_INTERNAL
 
 
-def _kset_rows(n, cfg):
-    return [(n, decimal_str(cell.interval.lo, cfg["precision"]),
-             decimal_str(cell.interval.hi, cfg["precision"]),
-             cell.in_k, cell.digit_lo, cell.digit_hi)
-            for cell in kset(n, cfg["alpha_min"])]
-
-
 def _cmd_kset(args, cfg):
-    if args.n_max is not None:
-        ns = range(2, args.n_max + 1)
-    elif args.N is not None:
-        ns = [args.N]
-    else:
-        raise SystemExit(EXIT_PARSE)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(lambda n: _kset_rows(n, cfg), ns))
-    else:
-        chunks = [_kset_rows(n, cfg) for n in ns]
-    rows = [row for chunk in chunks for row in chunk]
+    n_min, n_max = (2, args.n_max) if args.N is None else (args.N, args.N)
+    rows = emit_kset_plot_data(n_max, cfg["precision"], cfg["alpha_min"], n_min=n_min)
     if cfg["format"] == "json":
         print(json.dumps([{"N": r[0], "lo": r[1], "hi": r[2], "in_K": r[3],
                            "digit_lo": r[4], "digit_hi": r[5]} for r in rows]))
@@ -210,17 +192,9 @@ def _cmd_nomatch_regions(args, cfg):
 def _cmd_verify(args, cfg):
     fams = ["i", "ii", "iii", "iv"] if args.family == "all" else [args.family]
     matrices_only = args.what == "table"
-
-    def run(fam):
-        return verify_theorem_intervals(fam, args.k, matrices_only=matrices_only)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            groups = list(pool.map(run, fams))
-    else:
-        groups = [run(fam) for fam in fams]
     failed = 0
-    for fam, checks in zip(fams, groups):
+    for fam in fams:
+        checks = verify_theorem_intervals(fam, args.k, matrices_only=matrices_only)
         good = sum(1 for c in checks if c.ok)
         print(f"family {fam}: {good}/{len(checks)} pass")
         for c in checks:
@@ -269,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_badrat)
 
     sp = sub.add_parser("kset", help="digit-set cells and the coprime region")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--n-max", type=int, dest="n_max")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--N", type=int)
+    group.add_argument("--n-max", type=int, dest="n_max")
     sp.add_argument("--alpha-min", type=_exact, dest="alpha_min")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=_cmd_kset)
 
     sp = sub.add_parser("nomatch-regions", help="no-matching intervals for odd N >= 5")
@@ -287,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=["i", "ii", "iii", "iv", "all"],
                     default="all")
     sp.add_argument("--k", type=_k_range, default=range(0, 1))
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=_cmd_verify)
 
     return top

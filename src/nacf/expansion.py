@@ -253,11 +253,21 @@ def digit(x, p: Params) -> int:
     endpoint a private digit; it is lowered by one there so that the point
     maps to alpha + 1 instead.  Interior points with an integral quotient
     keep the plain floor (which already maps them back into the interval).
+    When x and alpha are surds over different radicands, N/x - alpha is
+    not a surd; its floor is floor(N/x) - floor(alpha) or one less, and an
+    exact comparison of N/x - (d+1) with alpha decides which.
     """
     x = _as_exact(x)
     if not p.contains(x):
         raise OutOfDomain(f"{format_exact(x)} outside [alpha, alpha+1]")
-    d = floor_exact(Fraction(p.N) / x - p.alpha)
+    quotient = Fraction(p.N) / x
+    if isinstance(quotient, Surd) and isinstance(p.alpha, Surd) \
+            and quotient.d != p.alpha.d:
+        d = floor_exact(quotient) - floor_exact(p.alpha) - 1
+        while compare_exact(quotient - (d + 1), p.alpha) >= 0:
+            d += 1
+    else:
+        d = floor_exact(quotient - p.alpha)
     if x == p.alpha and _integral_quotient_at_left_end(p) is not None:
         d -= 1
     return d

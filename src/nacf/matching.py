@@ -179,13 +179,16 @@ class _Orbit:
 
 
 class _EndpointOrbits:
-    """The orbits of alpha (``a``) and alpha + 1 (``b``) over ``count`` steps.
+    """The orbits of a rational alpha (``a``) and of alpha + 1 (``b``) over
+    ``count`` steps.
 
     Built once per parameter; every check made for that parameter reads the
     same values, digits and prefix matrices, each up to its own budget.
     """
 
     def __init__(self, alpha, n: int, count: int):
+        if not isinstance(_as_exact(alpha), Fraction):
+            raise ValueError("matching detection works on rational parameters")
         p = Params(n, alpha)
         self.alpha, self.N = p.alpha, n
         self.a = _Orbit(p.alpha, p, count)
@@ -237,9 +240,6 @@ def detect_matching(alpha, n: int, budget: int = 500
     the budget returns a NoMatchWithinBudget record carrying the congruence
     obstruction certificate when its hypotheses hold.
     """
-    alpha = _as_exact(alpha)
-    if not isinstance(alpha, Fraction):
-        raise ValueError("matching detection works on rational parameters")
     return _detect_matching(_EndpointOrbits(alpha, n, budget), budget)
 
 
@@ -261,7 +261,7 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     non-equivalence is conclusive only for N = 2 and is otherwise reported
     as unknown.
     """
-    return _stability_check(_EndpointOrbits(_as_exact(alpha), n, max(k, l) + 1), k, l)
+    return _stability_check(_EndpointOrbits(alpha, n, max(k, l) + 1), k, l)
 
 
 def _stability_check(orbits: _EndpointOrbits, k: int, l: int) -> str:
@@ -357,7 +357,6 @@ def matching_interval(alpha, n: int, budget: int = 40) -> MatchingInterval:
     when no stable pair exists within the budget (a candidate bad rational,
     not a proof).
     """
-    alpha = _as_exact(alpha)
     if n != 2:
         raise ValueError("matching intervals are proof-backed only for N = 2")
     return _matching_interval(_EndpointOrbits(alpha, n, budget), budget)
@@ -492,7 +491,7 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
 
 def equivalence_scan(alpha, n: int, max_k: int, max_l: int) -> list[tuple[int, int]]:
     """All (K, L) with ADD_ONE*M_K projectively equivalent to M_L."""
-    orbits = _EndpointOrbits(_as_exact(alpha), n, max(max_k, max_l))
+    orbits = _EndpointOrbits(alpha, n, max(max_k, max_l))
     hits = []
     for k in range(1, max_k + 1):
         rma = ADD_ONE @ orbits.a.matrix(k)

@@ -5,6 +5,8 @@ breakpoints (above a cutoff) into cells on which the digit set is constant;
 a cell belongs to the coprime region when every digit there is coprime
 with N.  Inside that region rationals are never periodic for alpha > 1 and
 matching is obstructed, which yields whole no-matching intervals for odd N.
+The largest and the smallest digit both fall as alpha grows, so the cells
+are one merge of their two breakpoint sequences (see :func:`kset`).
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from .exact import (ExactNumber, compare_exact, decimal_str, floor_exact,
-                    rational_between, surd, _as_exact)
-from .expansion import Params, alpha_max, digit_set
+                    surd, _as_exact)
+from .expansion import alpha_max
 from .matching import ParamInterval
 
 
@@ -38,52 +40,63 @@ class DigitSetCell:
 DEFAULT_ALPHA_MIN = Fraction(1, 100)
 
 
-@lru_cache(maxsize=256)
-def digit_breakpoints(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[ExactNumber, ...]:
-    """Exact parameters in (alpha_min, sqrt(N)-1] where the digit set jumps.
+def _upper_cut(n: int, m: int) -> ExactNumber:
+    # N/a - a = m, i.e. a^2 + m a - N = 0, positive root
+    return surd(-m, 1, m * m + 4 * n, 2)
 
-    These solve N/a - a = m (upper digit) or N/(a+1) - a = m (lower digit)
-    for integers m >= 1.  The enumeration is bounded by floor(N/alpha_min);
-    the set is infinite as alpha -> 0, hence the cutoff.
-    """
-    if n < 2:
-        raise ValueError("N must be >= 2")
-    alpha_min = _as_exact(alpha_min)
-    edge = alpha_max(n)
-    m_max = floor_exact(Fraction(n) / alpha_min)
-    found = set()
-    for m in range(1, m_max + 1):
-        # a^2 + m a - N = 0, positive root
-        found.add(surd(-m, 1, m * m + 4 * n, 2))
-        # a^2 + (m+1) a + (m - N) = 0, positive root exists for m < N
-        if m < n:
-            found.add(surd(-(m + 1), 1, (m - 1) * (m - 1) + 4 * n, 2))
-    kept = [b for b in found
-            if compare_exact(alpha_min, b) < 0 and compare_exact(b, edge) <= 0]
-    kept.sort(key=cmp_to_key(compare_exact))
-    return tuple(kept)
+
+def _lower_cut(n: int, m: int) -> ExactNumber:
+    # N/(a+1) - a = m, i.e. a^2 + (m+1) a + (m-N) = 0; no positive root for m >= N
+    return surd(-(m + 1), 1, (m - 1) * (m - 1) + 4 * n, 2) if m < n else Fraction(0)
 
 
 @lru_cache(maxsize=256)
 def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell, ...]:
     """Partition (alpha_min, sqrt(N)-1] into half-open digit-set cells.
 
-    The digit set of each cell is evaluated at an exact rational interior
-    sample; evaluating strictly inside avoids the floor ambiguity on the
-    boundaries.
+    One walk down from the edge: the next cell boundary is the larger of the
+    next upper cut (where the top digit gains one) and the next lower cut
+    (where the bottom digit gains one); equal cuts advance both.  The
+    digits of each cell are those counters, exact with no sampling.
     """
-    edge = alpha_max(n)
-    cuts = [b for b in digit_breakpoints(n, alpha_min)
-            if compare_exact(b, edge) < 0]
-    bounds = [_as_exact(alpha_min)] + cuts + [edge]
-    cells = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        sample = rational_between(lo, hi)
-        ds = digit_set(Params(n, sample))
-        in_k = all(math.gcd(n, d) == 1 for d in ds)
+    if n < 2:
+        raise ValueError("N must be >= 2")
+    alpha_min, edge = _as_exact(alpha_min), alpha_max(n)
+    if compare_exact(alpha_min, 0) <= 0 or compare_exact(alpha_min, edge) >= 0:
+        raise ValueError("alpha_min must lie in (0, sqrt(N)-1)")
+    digit_hi = floor_exact(Fraction(n) / edge - edge)
+    digit_lo = floor_exact(Fraction(n) / (edge + 1) - edge)
+    upper, lower = _upper_cut(n, digit_hi + 1), _lower_cut(n, digit_lo + 1)
+    cells, hi = [], edge
+    while True:
+        side = compare_exact(upper, lower)
+        lo = upper if side >= 0 else lower
+        last = compare_exact(lo, alpha_min) <= 0
+        if last:
+            lo = alpha_min
+        in_k = all(math.gcd(n, d) == 1 for d in range(digit_lo, digit_hi + 1))
         cells.append(DigitSetCell(ParamInterval(lo, hi, True, False),
-                                  ds.start, ds.stop - 1, in_k))
-    return tuple(cells)
+                                  digit_lo, digit_hi, in_k))
+        if last:
+            return tuple(reversed(cells))
+        if side >= 0:
+            digit_hi += 1
+            upper = _upper_cut(n, digit_hi + 1)
+        if side <= 0:
+            digit_lo += 1
+            lower = _lower_cut(n, digit_lo + 1)
+        hi = lo
+
+
+def digit_breakpoints(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[ExactNumber, ...]:
+    """Exact parameters in (alpha_min, sqrt(N)-1] where the digit set jumps.
+
+    These solve N/a - a = m (upper digit) or N/(a+1) - a = m (lower digit)
+    for integers m >= 1; they are the right ends of the kset cells, the
+    last being sqrt(N)-1 itself (the lower equation at m = 1).  The set is
+    infinite as alpha -> 0, hence the cutoff.
+    """
+    return tuple(cell.interval.hi for cell in kset(n, alpha_min))
 
 
 def no_matching_regions(n: int) -> list[ParamInterval]:
@@ -109,18 +122,21 @@ def no_matching_regions(n: int) -> list[ParamInterval]:
 
 
 def emit_kset_plot_data(n_max: int, precision: int = 6,
-                        alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> list[tuple]:
-    """Rows (N, lo, hi, in_K, digit_lo, digit_hi) for N = 2..n_max.
+                        alpha_min: Fraction = DEFAULT_ALPHA_MIN,
+                        n_min: int = 2) -> list[tuple]:
+    """Rows (N, lo, hi, in_K, digit_lo, digit_hi) for N = n_min..n_max.
 
     Endpoint decimals are display renderings of the exact cell boundaries
-    at the requested precision; suitable for plotting the coprime region.
+    at the requested precision, each boundary rendered once; suitable for
+    plotting the coprime region.  The CLI's kset output is these rows.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    if not 2 <= n_min <= n_max:
+        raise ValueError("N must run over 2 <= n_min <= n_max")
     rows = []
-    for n in range(2, n_max + 1):
-        for cell in kset(n, alpha_min):
-            rows.append((n, decimal_str(cell.interval.lo, precision),
-                         decimal_str(cell.interval.hi, precision),
-                         cell.in_k, cell.digit_lo, cell.digit_hi))
+    for n in range(n_min, n_max + 1):
+        cells = kset(n, alpha_min)
+        bounds = [cells[0].interval.lo] + [cell.interval.hi for cell in cells]
+        ends = [decimal_str(b, precision) for b in bounds]
+        rows += [(n, lo, hi, cell.in_k, cell.digit_lo, cell.digit_hi)
+                 for cell, lo, hi in zip(cells, ends, ends[1:])]
     return rows

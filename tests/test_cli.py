@@ -87,6 +87,21 @@ def test_interval_and_bad_rational(capsys):
     assert data["bad_rational_candidate"] and data["certificate"]["valid"]
 
 
+def test_interval_rejects_surd_alpha(capsys):
+    code, out, err = run(capsys, "interval", "--alpha", "(-1+1*sqrt(2))/2", "--N", "2")
+    assert code == 2 and out == "" and "rational" in err
+
+
+def test_orbit_across_two_radicands(capsys):
+    # x in Q(sqrt 3), alpha in Q(sqrt 2): only the digit floor mixes them
+    args = ("--x", "(-1+1*sqrt(3))/1", "--N", "3", "--alpha", "(-1+1*sqrt(2))/1")
+    code, out, _ = run(capsys, "orbit", *args)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "Periodic pre=0 period=2 first-repeat=2"
+    code, out, _ = run(capsys, "expand", *args, "--n", "6")
+    assert code == 0 and out.strip() == "[0; 3, 2, 3, 2, 3, 2]"
+
+
 def test_badrat_text(capsys):
     code, out, _ = run(capsys, "badrat", "--n", "3")
     assert code == 0
@@ -102,11 +117,22 @@ def test_kset_csv_and_json(capsys):
     assert "5,1.000000,1.192582,True,1,3" in lines
 
     code, out, _ = run(capsys, "--format", "json", "--precision", "6",
-                       "kset", "--N", "5", "--jobs", "2")
+                       "kset", "--N", "5")
     assert code == 0
     rows = json.loads(out)
     assert {"N": 5, "lo": "1.000000", "hi": "1.192582", "in_K": True,
             "digit_lo": 1, "digit_hi": 3} in rows
+
+
+def test_kset_alpha_min_outside_the_parameter_space_exits_two(capsys):
+    for bad in ("0", "-1/3", "3", "(-1+1*sqrt(5))/1"):
+        code, out, err = run(capsys, "kset", "--N", "5", f"--alpha-min={bad}")
+        assert code == 2 and out == "" and "alpha_min" in err
+
+
+def test_kset_needs_exactly_one_of_n_and_n_max(capsys):
+    assert run(capsys, "kset")[0] == 1
+    assert run(capsys, "kset", "--N", "5", "--n-max", "2")[0] == 1
 
 
 def test_nomatch_regions(capsys):
@@ -121,7 +147,7 @@ def test_nomatch_regions(capsys):
 def test_verify_families(capsys):
     code, out, _ = run(capsys, "verify", "--family", "i", "--k", "0..3")
     assert code == 0 and "family i: 4/4 pass" in out
-    code, out, _ = run(capsys, "verify", "--table", "--family", "all", "--k", "0..1", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "--table", "--family", "all", "--k", "0..1")
     assert code == 0
     for fam in ("i", "ii", "iii", "iv"):
         assert f"family {fam}: 2/2 pass" in out

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (approx_bounds, brute_digits, random_params,
                       random_rational_in, random_surd_in)
-from nacf.exact import compare_exact, surd
+from nacf.exact import Surd, compare_exact, surd
 from nacf.expansion import (ADD_ONE, DigitWord, Mobius, NoValidTail,
                             OutOfDomain, Params, Undecidable,
                             all_digits_coprime, alpha_max,
@@ -62,6 +62,35 @@ def test_digit_left_endpoint_adjustment():
     q = Params(2, Fraction(2, 5))
     assert digit(Fraction(5, 6), q) == 2
     assert step(Fraction(5, 6), q)[1] == q.alpha
+
+
+def test_digit_across_two_radicands():
+    # x and alpha over different radicands: N/x - alpha is no surd, so the
+    # floor is checked against 128-bit rational bounds of both terms
+    rng = random.Random(23)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(2, 9)
+        c = rng.randint(2, 12)
+        alpha = surd(rng.randint(-3 * c, 2 * c), 1, rng.choice((2, 3, 5, 7)), c)
+        if compare_exact(alpha, 0) <= 0 or compare_exact(alpha, alpha_max(n)) > 0:
+            continue
+        p = Params(n, alpha)
+        dx = rng.choice([d for d in (2, 3, 5, 6, 7, 10, 11) if d != alpha.d])
+        c, b = rng.randint(2, 12), rng.randint(1, 4)
+        shift = b * math.sqrt(dx)   # picks candidates only; containment is exact
+        x = surd(rng.randint(math.floor(float(alpha) * c - shift),
+                             math.ceil((float(alpha) + 1) * c - shift)), b, dx, c)
+        if not p.contains(x):
+            continue
+        (xl, xh), (al, ah) = approx_bounds(x), approx_bounds(alpha)
+        lo, hi = math.floor(n / xh - ah), math.floor(n / xl - al)
+        if lo != hi:
+            continue
+        d, nxt = step(x, p)
+        assert d == lo and p.contains(nxt) and isinstance(nxt, Surd)
+        assert nxt.d == x.d
+        checked += 1
 
 
 def test_digit_out_of_domain():

@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
-from nacf.exact import compare_exact, is_rational, rational_between, surd
+from nacf.exact import (compare_exact, floor_exact, is_rational,
+                        rational_between, surd)
 from nacf.expansion import Params, alpha_max, digit_set
 from nacf.paramspace import (NotApplicable, digit_breakpoints,
                              emit_kset_plot_data, kset, no_matching_regions)
@@ -87,6 +89,52 @@ def test_kset_tiling_and_constancy():
                 ds = digit_set(Params(n, s))
                 assert (ds.start, ds.stop - 1) == (cell.digit_lo, cell.digit_hi)
                 assert cell.in_k == all(math.gcd(n, d) == 1 for d in ds)
+
+
+def reference_kset(n, alpha_min):
+    """Cells built directly: every root of both breakpoint equations in
+    (alpha_min, sqrt(N)-1), sorted, with each cell's digit set read off at
+    a rational sample strictly inside it."""
+    edge = alpha_max(n)
+    found = set()
+    for m in range(1, floor_exact(Fraction(n) / alpha_min) + 1):
+        found.add(surd(-m, 1, m * m + 4 * n, 2))
+        if m < n:
+            found.add(surd(-(m + 1), 1, (m - 1) * (m - 1) + 4 * n, 2))
+    cuts = sorted((b for b in found if compare_exact(alpha_min, b) < 0
+                   and compare_exact(b, edge) < 0), key=cmp_to_key(compare_exact))
+    bounds = [alpha_min] + cuts + [edge]
+    cells = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        ds = digit_set(Params(n, rational_between(lo, hi)))
+        cells.append((lo, hi, ds.start, ds.stop - 1,
+                      all(math.gcd(n, d) == 1 for d in ds)))
+    return cells
+
+
+def test_kset_matches_the_reference():
+    root2 = surd(-1, 1, 2)
+    cases = [(n, a) for n in range(2, 17)
+             for a in (Fraction(1, 100), Fraction(1, 3), root2)
+             if compare_exact(a, alpha_max(n)) < 0]
+    cases.append((5, Fraction(1)))      # alpha_min is the breakpoint u(4)
+    assert (16, root2) in cases and (2, root2) not in cases
+    for n, alpha_min in cases:
+        cells = kset(n, alpha_min)
+        got = [(c.interval.lo, c.interval.hi, c.digit_lo, c.digit_hi, c.in_k)
+               for c in cells]
+        assert got == reference_kset(n, alpha_min), (n, alpha_min)
+        assert all((c.interval.lo_open, c.interval.hi_open) == (True, False)
+                   for c in cells)
+        assert digit_breakpoints(n, alpha_min) == tuple(c.interval.hi for c in cells)
+    assert kset(5, Fraction(1))[0].interval.lo == Fraction(1)
+
+
+def test_kset_rejects_alpha_min_outside_the_parameter_space():
+    for n, alpha_min in ((5, Fraction(0)), (5, Fraction(-1, 3)), (5, Fraction(3)),
+                         (5, alpha_max(5)), (4, Fraction(1)), (1, Fraction(1, 100))):
+        with pytest.raises(ValueError):
+            kset(n, alpha_min)
 
 
 def test_no_matching_regions():
