@@ -66,10 +66,10 @@ def _exact(text):
 
 
 def _k_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+    lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty k range: {text!r}")
+    return range(lo, hi + 1)
 
 
 def _emit(obj, fmt, precision):

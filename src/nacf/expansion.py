@@ -363,21 +363,6 @@ def alternating_compare(w1: DigitWord, w2: DigitWord) -> int:
     return verdict
 
 
-def _compare_word_with_point(w: DigitWord, x, p: Params, depth: int) -> int:
-    """Alternating-order comparison of a word against the expansion of x.
-
-    Returns 0 when no difference shows up within ``depth`` digits.
-    """
-    stream = digit_stream(x, p)
-    for i in range(depth):
-        dw, dx = w.digit_at(i), next(stream)
-        if dw != dx:
-            if i % 2 == 0:
-                return -1 if dw > dx else 1
-            return 1 if dw > dx else -1
-    return 0
-
-
 def validate_expansion(w: DigitWord, p: Params, depth: int = 96) -> bool:
     """Whether an eventually periodic word is a valid expansion for (N, alpha).
 
@@ -385,7 +370,8 @@ def validate_expansion(w: DigitWord, p: Params, depth: int = 96) -> bool:
     lie between the expansions of alpha and alpha + 1 in alternating order
     (weakly on the left; strictly on the right except for the word itself at
     shift 0 and for the left-endpoint adjustment chain, where the expansion
-    legitimately passes through alpha + 1).
+    legitimately passes through alpha + 1).  Both endpoint expansions are
+    computed once, to ``depth`` digits; agreeing that far counts as equal.
     """
     if w.period is None:
         raise ValueError("validation needs an eventually periodic word")
@@ -393,15 +379,16 @@ def validate_expansion(w: DigitWord, p: Params, depth: int = 96) -> bool:
     if not digits <= set(digit_set(p)):
         return False
     boundary_chain_ok = _integral_quotient_at_left_end(p) is not None
+    left, right_end = expand(p.alpha, p, depth), expand(p.upper, p, depth)
     shifts = len(w.prefix) + len(w.period)
     cur = w
     for nshift in range(shifts + 1):
-        if _compare_word_with_point(cur, p.alpha, p, depth) < 0:
+        if _first_difference(cur, left, depth) == -1:
             return False
-        right = _compare_word_with_point(cur, p.upper, p, depth)
-        if right > 0:
+        right = _first_difference(cur, right_end, depth)
+        if right == 1:
             return False
-        if right == 0 and nshift > 0 and not boundary_chain_ok:
+        if right is None and nshift > 0 and not boundary_chain_ok:
             return False
         cur = cur.shifted()
     return True

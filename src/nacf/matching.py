@@ -149,33 +149,24 @@ class NoMatchWithinBudget:
 
 
 class _Orbit:
-    """Values x_0..x_count and digits d_1..d_count of one exact orbit, plus
-    its prefix matrices M_0 = I, M_k = M_{k-1} * branch(d_k).
-
-    The underlying orbit stops at the first repeated value; values and
-    digits beyond that point are filled in from the detected cycle.  Prefix
-    matrices are built on demand, up to the largest index asked for.
-    """
+    """One exact orbit, stored once as an OrbitTrace lasso, plus its prefix
+    matrices M_0 = I, M_k = M_{k-1} * branch(d_k), built on demand up to
+    the largest index asked for."""
 
     def __init__(self, x0, p: Params, count: int):
-        trace = orbit_rational(x0, p, count)
-        values = [st.value for st in trace.states]
-        digits = list(trace.digits)
-        v = trace.verdict
-        while len(digits) < count:
-            idx = v.pre_period + ((len(digits) - v.pre_period) % v.period)
-            digits.append(trace.digits[idx])
-            values.append(values[idx + 1])
+        self.trace = orbit_rational(x0, p, count)
         self.n = p.N
-        self.values = values
-        self.digits = digits
         self._matrices = [IDENTITY]
 
     def matrix(self, k: int) -> Mobius:
         ms = self._matrices
         while len(ms) <= k:
-            ms.append(ms[-1] @ Mobius.branch(self.n, self.digits[len(ms) - 1]))
+            ms.append(ms[-1] @ Mobius.branch(self.n, self.trace.digit_at(len(ms) - 1)))
         return ms[k]
+
+    def head(self, k: int) -> tuple[int, ...]:
+        """The digits d_1..d_k."""
+        return tuple(map(self.trace.digit_at, range(k)))
 
 
 class _EndpointOrbits:
@@ -204,8 +195,18 @@ class _EndpointOrbits:
         diagonal K - L, in (K+L, K) order.  Later pairs on a diagonal share
         its stability verdict (see the module docstring)."""
         ids: dict = {}
-        va = [ids.setdefault(v, len(ids)) for v in self.a.values[:budget + 1]]
-        vb = [ids.setdefault(v, len(ids)) for v in self.b.values[:budget + 1]]
+
+        def value_ids(trace):
+            # ids of x_0..x_budget: the stored head, then the cycle repeated
+            v = trace.verdict
+            out = [ids.setdefault(st.value, len(ids))
+                   for st in trace.states[:v.first_repeat]]
+            cycle = out[v.pre_period:] if v.is_periodic else []
+            while cycle and len(out) <= budget:
+                out += cycle
+            return out
+
+        va, vb = value_ids(self.a.trace), value_ids(self.b.trace)
         seen = set()
         for s in range(2, 2 * budget + 1):
             for k in range(max(1, s - budget), min(s - 1, budget) + 1):
@@ -214,13 +215,14 @@ class _EndpointOrbits:
                     yield k, s - k
 
 
-def _minimal_match(va, vb) -> Optional[tuple[int, int, Fraction]]:
+def _minimal_match(a, b, budget: int) -> Optional[tuple[int, int, Fraction]]:
+    # Values first occur before the first repeat: stored states suffice.
     first_a: dict = {}
-    for i, value in enumerate(va):
-        first_a.setdefault(value, i)
+    for i, st in enumerate(a.states[:budget + 1]):
+        first_a.setdefault(st.value, i)
     best = None
-    for j, value in enumerate(vb):
-        i = first_a.get(value)
+    for j, st in enumerate(b.states[:budget + 1]):
+        i = first_a.get(st.value)
         if i is None:
             continue
         cand = (i + j, i, j)
@@ -229,7 +231,7 @@ def _minimal_match(va, vb) -> Optional[tuple[int, int, Fraction]]:
     if best is None:
         return None
     _, i, j = best
-    return i, j, va[i]
+    return i, j, a.states[i].value
 
 
 def detect_matching(alpha, n: int, budget: int = 500
@@ -246,7 +248,7 @@ def detect_matching(alpha, n: int, budget: int = 500
 def _detect_matching(orbits: _EndpointOrbits, budget: int
                      ) -> Union[MatchReport, NoMatchWithinBudget]:
     alpha, n = orbits.alpha, orbits.N
-    hit = _minimal_match(orbits.a.values[:budget + 1], orbits.b.values[:budget + 1])
+    hit = _minimal_match(orbits.a.trace, orbits.b.trace, budget)
     if hit is None:
         obs = no_matching_obstruction(alpha, n)
         return NoMatchWithinBudget(alpha, n, budget, obs if obs.holds else None)
@@ -265,16 +267,9 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
 
 
 def _stability_check(orbits: _EndpointOrbits, k: int, l: int) -> str:
-    if orbits.a.values[k] != orbits.b.values[l]:
+    if orbits.a.trace.value_at(k) != orbits.b.trace.value_at(l):
         raise PrerequisiteNotMet(f"T^{k}(alpha) != T^{l}(alpha+1)")
     return orbits.stability(k, l)
-
-
-def orbit_matrices(alpha, n: int, count: int, plus_one: bool = False) -> list[Mobius]:
-    """[M_1 .. M_count] for the orbit of alpha (or alpha + 1)."""
-    p = Params(n, _as_exact(alpha))
-    orbit = _Orbit(p.upper if plus_one else p.alpha, p, count)
-    return [orbit.matrix(k) for k in range(1, count + 1)]
 
 
 def _level_interval(kind: str, prefix: Mobius, last: int, depth: int,
@@ -367,8 +362,8 @@ def _matching_interval(orbits: _EndpointOrbits, budget: int) -> MatchingInterval
     for k, l in orbits.diagonal_heads(budget):
         if orbits.stability(k, l) != STABLE:
             continue
-        cyl_a = cylinder_interval("alpha", orbits.a.digits[:k], orbits.N)
-        cyl_b = cylinder_interval("alpha_plus_one", orbits.b.digits[:l], orbits.N)
+        cyl_a = cylinder_interval("alpha", orbits.a.head(k), orbits.N)
+        cyl_b = cylinder_interval("alpha_plus_one", orbits.b.head(l), orbits.N)
         interval = cyl_a.intersect(cyl_b)
         if not interval.contains(orbits.alpha):
             raise MismatchDetected("stable pair's interval misses alpha")
@@ -467,9 +462,9 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
     word_a = DigitWord((2 ** (n + 1) - 1,), (1,))
     word_b = DigitWord((1, 2, 2 ** (n - 1) - 1, 3), (1,))
     orbits = _EndpointOrbits(alpha, 2, pad)
-    ok = tuple(orbits.a.digits) == word_a.head(pad)
-    ok = ok and tuple(orbits.b.digits) == word_b.head(pad)
-    ok = ok and orbits.a.values[1] == Fraction(1) == orbits.b.values[4]
+    ok = orbits.a.head(pad) == word_a.head(pad)
+    ok = ok and orbits.b.head(pad) == word_b.head(pad)
+    ok = ok and orbits.a.trace.value_at(1) == Fraction(1) == orbits.b.trace.value_at(4)
 
     rm = ADD_ONE @ orbits.a.matrix(1)
     m4 = orbits.b.matrix(4)
@@ -589,9 +584,9 @@ def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyChe
     word_a, word_b = forms["word_alpha"](k), forms["word_alpha_plus_one"](k)
     pad = max(kk, ll) + len(word_b.prefix) + 4
     orbits = _EndpointOrbits(alpha, 2, max(pad, _FAMILY_MATCH_BUDGET))
-    if tuple(orbits.a.digits[:pad]) != word_a.head(pad):
+    if orbits.a.head(pad) != word_a.head(pad):
         failures.append("expansion of alpha")
-    if tuple(orbits.b.digits[:pad]) != word_b.head(pad):
+    if orbits.b.head(pad) != word_b.head(pad):
         failures.append("expansion of alpha+1")
 
     rm = ADD_ONE @ orbits.a.matrix(kk)

@@ -82,11 +82,31 @@ class QuadCoeffState:
 
 @dataclass(frozen=True)
 class OrbitTrace:
+    """An orbit stored as a lasso: the states x_0..x_r and digits d_1..d_r up
+    to the first repeated value (or the budget), read modulo the cycle
+    beyond that point."""
+
     kind: str  # "rational" | "quadratic"
     params: Params
     digits: tuple[int, ...]
     states: tuple
     verdict: Verdict
+
+    def _lasso_index(self, k: int, stored: int) -> int:
+        if 0 <= k < stored:
+            return k
+        v = self.verdict
+        if k < 0 or not v.is_periodic:
+            raise IndexError(f"step {k} lies beyond the orbit's budget")
+        return v.pre_period + (k - v.pre_period) % v.period
+
+    def value_at(self, k: int):
+        """The point x_k, 0-based like the states."""
+        return self.states[self._lasso_index(k, len(self.states))].value
+
+    def digit_at(self, k: int) -> int:
+        """The digit d_{k+1} that x_k emits, 0-based like DigitWord.digit_at."""
+        return self.digits[self._lasso_index(k, len(self.digits))]
 
     def values(self) -> list:
         return [st.value for st in self.states]

@@ -115,9 +115,6 @@ def no_matching_regions(n: int) -> list[ParamInterval]:
         if compare_exact(cell.interval.lo, region.lo) >= 0:
             if not cell.in_k:
                 raise RuntimeError(f"cell {cell.interval} in the region is not coprime")
-            if any(math.gcd(n, d) != 1
-                   for d in range(cell.digit_lo, cell.digit_hi + 1)):
-                raise RuntimeError("digit sharing a factor with N inside the region")
     return [region]
 
 

@@ -159,6 +159,12 @@ def test_parse_errors_exit_one(capsys):
     assert run(capsys, "expand", "--x", "1/2")[0] == 1
 
 
+def test_verify_rejects_an_empty_k_range(capsys):
+    code, out, err = run(capsys, "verify", "--k", "5..2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: nacf verify")
+
+
 def test_domain_errors_exit_two(capsys):
     code, _, err = run(capsys, "expand", "--x", "5/1", "--N", "2", "--alpha", "1/3", "--n", "2")
     assert code == 2 and "outside" in err

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import nacf.matching
+from nacf.cli import main
 from nacf.exact import compare_exact, rational_between, surd
 from nacf.expansion import (ADD_ONE, Mobius, Params, branch_product, expand,
                             mobius_apply, projective_equiv, step)
@@ -14,7 +16,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            bad_rational_certificate, cylinder_interval,
                            detect_matching, equivalence_scan,
                            matching_interval, no_matching_obstruction,
-                           orbit_matrices, stability_check, verify_family,
+                           stability_check, verify_family,
                            verify_theorem_intervals)
 
 
@@ -55,8 +57,9 @@ def test_detected_pairs_really_match():
 
 def test_stability_examples():
     assert stability_check(Fraction(2, 9), 2, 3, 5) == STABLE
-    rm = ADD_ONE @ orbit_matrices(Fraction(2, 9), 2, 3)[-1]
-    m5 = orbit_matrices(Fraction(2, 9), 2, 5, plus_one=True)[-1]
+    p = Params(2, Fraction(2, 9))
+    rm = ADD_ONE @ branch_product(2, expand(p.alpha, p, 3).prefix)
+    m5 = branch_product(2, expand(p.upper, p, 5).prefix)
     assert rm == Mobius(12, 32, 10, 26)
     assert m5 == Mobius(24, 64, 20, 52)
 
@@ -253,7 +256,8 @@ def test_verify_families_closed_forms():
     check = verify_theorem_intervals("ii", range(0, 1))[0]
     assert check.ok and check.alpha == Fraction(8, 43)
     assert check.exponents == (5, 5)
-    rm = ADD_ONE @ orbit_matrices(Fraction(8, 43), 2, 5)[-1]
+    p = Params(2, Fraction(8, 43))
+    rm = ADD_ONE @ branch_product(2, expand(p.alpha, p, 5).prefix)
     assert rm == Mobius(128, 280, 108, 236)
 
     check = verify_theorem_intervals("iv", range(0, 1))[0]
@@ -360,3 +364,37 @@ def test_family_check_computes_each_endpoint_orbit_once(monkeypatch):
     assert check.ok
     alpha = Fraction(2, 9)
     assert calls[alpha] == 1 and calls[alpha + 1] == 1
+
+
+def test_match_cost_does_not_grow_with_the_budget(monkeypatch, capsys):
+    # both endpoint orbits of 1/3 close after a few steps; nothing past the
+    # first repeat is stored, so a huge budget costs what a small one does
+    traces = []
+    orbit = nacf.matching.orbit_rational
+
+    def recorded(x, p, budget=1000):
+        traces.append(orbit(x, p, budget))
+        return traces[-1]
+
+    monkeypatch.setattr(nacf.matching, "orbit_rational", recorded)
+    alpha = Fraction(1, 3)
+    small = detect_matching(alpha, 2, 1000)
+    tracemalloc.start()
+    try:
+        assert detect_matching(alpha, 2, 10 ** 6) == small
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    assert len(traces) == 4
+    for trace in traces:
+        assert trace.verdict.is_periodic
+        assert len(trace.states) <= trace.verdict.first_repeat + 1
+
+    outputs = []
+    for budget in ("1000", "100000000"):
+        code = main(["--format", "json", "match", "--alpha", "1/3", "--N", "2",
+                     "--budget", budget])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_params, random_rational_in, random_surd_in
 from nacf.exact import compare_exact, surd
-from nacf.expansion import OutOfDomain, Params, expand, xi
+from nacf.expansion import OutOfDomain, Params, expand, step, xi
 from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE,
                          discriminant_check, divisibility_diagnostics,
                          nonperiodicity_certificate, orbit_quadratic,
@@ -251,6 +251,34 @@ def test_cycle_detection_is_sound():
         cycle = trace.digits[v.pre_period:v.pre_period + v.period]
         assert rerun.digits[:v.period] == cycle
         assert rerun.states[v.period].value == start
+
+
+def test_lasso_reads_follow_the_map():
+    # past the first repeat the trace is read modulo its cycle; a trace
+    # that found no cycle ends at its budget
+    rng = random.Random(66)
+    periodic = 0
+    for _ in range(300):
+        p = random_params(rng, rng.randint(2, 12))
+        x = random_rational_in(p, rng)
+        budget = rng.randint(1, 40)
+        trace = orbit_rational(x, p, budget)
+        v = trace.verdict
+        periodic += v.is_periodic
+        last = 3 * v.first_repeat + 2 if v.is_periodic else budget
+        for k in range(last + 1):
+            assert trace.value_at(k) == x
+            if v.is_periodic or k < budget:
+                d, x = step(x, p)
+                assert trace.digit_at(k) == d
+        if not v.is_periodic:
+            with pytest.raises(IndexError):
+                trace.value_at(budget + 1)
+            with pytest.raises(IndexError):
+                trace.digit_at(budget)
+        with pytest.raises(IndexError):
+            trace.value_at(-1)
+    assert 50 <= periodic <= 250
 
 
 def test_trace_json_lines():
