@@ -28,12 +28,14 @@ EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_NEGATIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 CONFIG_ENV = "NACF_CONFIG"
 DEFAULTS = {"budget": 1000, "format": "text", "precision": 10,
             "alpha_min": Fraction(1, 100)}
+BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limit
+VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _load_config(path):
@@ -136,7 +138,7 @@ def _cmd_interval(args, cfg):
         mi = matching_interval(args.alpha, args.N, budget=budget)
     except BadRational as exc:
         out = {"alpha": format_exact(exc.alpha), "N": exc.N,
-               "bad_rational_candidate": True}
+               "bad_rational_candidate": True, "proved": exc.proved}
         alpha = exc.alpha
         if alpha.numerator == 1 and alpha.denominator >= 8 \
                 and alpha.denominator & (alpha.denominator - 1) == 0:
@@ -151,6 +153,8 @@ def _cmd_interval(args, cfg):
 
 
 def _cmd_badrat(args, cfg):
+    if args.n > BADRAT_N_MAX:
+        raise ValueError(f"badrat needs n <= {BADRAT_N_MAX}, got {args.n}")
     cert = bad_rational_certificate(args.n)
     if cfg["format"] == "json":
         print(json.dumps(cert.to_json(), sort_keys=True))
@@ -190,6 +194,9 @@ def _cmd_nomatch_regions(args, cfg):
 
 
 def _cmd_verify(args, cfg):
+    if len(args.k) > VERIFY_K_VALUES_MAX:
+        raise ValueError(f"verify takes at most {VERIFY_K_VALUES_MAX} k values, "
+                         f"got {len(args.k)}")
     fams = ["i", "ii", "iii", "iv"] if args.family == "all" else [args.family]
     matrices_only = args.what == "table"
     failed = 0

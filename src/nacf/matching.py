@@ -13,8 +13,20 @@ depends on the point alone, so once T^K(alpha) = T^L(alpha + 1) both orbits
 continue through the same digits, and M_{K+j} = M_K W_j, M_{L+j} = M_L W_j
 with the same invertible W_j.  Hence ADD_ONE * M_{K+j} ~ M_{L+j} exactly
 when ADD_ONE * M_K ~ M_L, and any two matched pairs on one diagonal are
-related this way.  The scan for stable exponents therefore decides each
-diagonal once, at its first matched pair.
+related this way.  Stability is therefore decided once per diagonal, at
+its first matched pair.
+
+For N = 2 every rational orbit ends at the fixed point 1, whose digit is 1
+(the paper's period-1 theorem).  Let ka and kb be the first indices with
+T^ka(alpha) = 1 = T^kb(alpha + 1).  After a match with a value other than
+1 both orbits go on together and reach 1 at once, so every such match lies
+on the diagonal D0 = ka - kb of the minimal match.  The other matches are
+the tail pairs K >= ka, L >= kb, and they meet every diagonal D0 + e.  On
+the tail M_K = M_ka B^(K-ka) with B = branch(2, 1), so the tail diagonal
+D0 + e is stable exactly when X = (ADD_ONE M_ka)^-1 M_kb ~ B^e.  B has the
+eigenvalues 2 and -1; X ~ B^e means X commutes with B, so X = uI + vB, and
+(u + 2v)/(u - v) = (-2)^e.  At most one e qualifies, so matching_interval
+weighs at most two diagonal heads: D0's, checked directly, and that e's.
 
 Both endpoint orbits and their prefix matrices are held by one
 _EndpointOrbits object, computed once per parameter and shared by every
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
@@ -32,7 +45,7 @@ from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, digit_set,
                         projective_equiv)
-from .orbits import orbit_rational
+from .orbits import PERIODIC, InvariantViolation, orbit_rational
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -48,7 +61,13 @@ class EmptyInterval(ValueError):
 
 
 class BadRational(Exception):
-    """No stable matched pair was found within the scan budget."""
+    """No stable matched pair was found within the scan budget.
+
+    ``proved`` is True when both endpoint orbits reached 1 and no stable
+    pair exists at any K and L, so alpha sits in no matching interval.
+    """
+
+    proved = False
 
     def __init__(self, alpha, n, budget):
         super().__init__(f"no stable matching for alpha={alpha} within K+L <= {budget}")
@@ -168,6 +187,11 @@ class _Orbit:
         """The digits d_1..d_k."""
         return tuple(map(self.trace.digit_at, range(k)))
 
+    @cached_property
+    def one_at(self) -> Optional[int]:
+        """The first stored index whose value is 1, if any."""
+        return next((i for i, st in enumerate(self.trace.states) if st.value == 1), None)
+
 
 class _EndpointOrbits:
     """The orbits of a rational alpha (``a``) and of alpha + 1 (``b``) over
@@ -190,29 +214,34 @@ class _EndpointOrbits:
             return STABLE
         return UNSTABLE if self.N == 2 else UNKNOWN
 
-    def diagonal_heads(self, budget: int):
-        """The first matched pair (K, L) with 1 <= K, L <= budget on each
-        diagonal K - L, in (K+L, K) order.  Later pairs on a diagonal share
-        its stability verdict (see the module docstring)."""
-        ids: dict = {}
-
-        def value_ids(trace):
-            # ids of x_0..x_budget: the stored head, then the cycle repeated
-            v = trace.verdict
-            out = [ids.setdefault(st.value, len(ids))
-                   for st in trace.states[:v.first_repeat]]
-            cycle = out[v.pre_period:] if v.is_periodic else []
-            while cycle and len(out) <= budget:
-                out += cycle
-            return out
-
-        va, vb = value_ids(self.a.trace), value_ids(self.b.trace)
-        seen = set()
-        for s in range(2, 2 * budget + 1):
-            for k in range(max(1, s - budget), min(s - 1, budget) + 1):
-                if va[k] == vb[s - k] and 2 * k - s not in seen:
-                    seen.add(2 * k - s)
-                    yield k, s - k
+    def stable_heads(self) -> list[tuple[int, int]]:
+        """The head (K, L), K, L >= 1, of each stable diagonal K - L for
+        N = 2: the minimal match's diagonal D0 and at most one tail diagonal
+        D0 + e (see the module docstring)."""
+        ta, tb = self.a.trace, self.b.trace
+        if PERIODIC in (ta.verdict.kind, tb.verdict.kind):
+            raise InvariantViolation("an N = 2 endpoint orbit cycles away from 1")
+        hit = _minimal_match(ta, tb, max(len(ta.states), len(tb.states)))
+        if hit is None:
+            return []
+        k, l, _ = hit
+        if k == 0 or l == 0:  # no digit prefix to pin a cylinder with
+            k, l = k + 1, l + 1
+        heads = [(k, l)] if self.stability(k, l) == STABLE else []
+        ka, kb = self.a.one_at, self.b.one_at
+        if ka is None or kb is None:
+            return heads
+        y, b1 = ADD_ONE @ self.a.matrix(ka), Mobius.branch(2, 1)
+        x = Mobius(y.d, -y.b, -y.c, y.a) @ self.b.matrix(kb)
+        if x @ b1 == b1 @ x:
+            r = Fraction(x.a + 2 * x.c, x.a - x.c)  # (-2)^e exactly when X ~ B^e
+            m = (abs(r.numerator) * r.denominator).bit_length() - 1
+            e = m if r.denominator == 1 else -m
+            if e and Fraction(-2) ** e == r:
+                d = k - l + e
+                k_tail = max(ka, kb + d)
+                heads.append((k_tail, k_tail - d))
+        return heads
 
 
 def _minimal_match(a, b, budget: int) -> Optional[tuple[int, int, Fraction]]:
@@ -346,11 +375,13 @@ class MatchingInterval:
 def matching_interval(alpha, n: int, budget: int = 40) -> MatchingInterval:
     """Stable exponents and the surrounding parameter interval (N = 2 only).
 
-    Scans matched pairs in (K+L, K) order for the first projectively stable
-    one, deciding stability once per diagonal K - L, and intersects the two
-    cylinder intervals of the orbits' digit prefixes.  Raises BadRational
-    when no stable pair exists within the budget (a candidate bad rational,
-    not a proof).
+    Takes the first projectively stable matched pair in (K+L, K) order with
+    K, L <= budget, from the at most two stable diagonal heads decided in
+    closed form, and intersects the two cylinder intervals of the orbits'
+    digit prefixes.  Raises BadRational when no such pair exists; its
+    ``proved`` flag says whether none exists at any K and L.  Raises
+    InvariantViolation if an endpoint orbit cycles away from 1, against the
+    paper's theorem for N = 2.
     """
     if n != 2:
         raise ValueError("matching intervals are proof-backed only for N = 2")
@@ -358,17 +389,19 @@ def matching_interval(alpha, n: int, budget: int = 40) -> MatchingInterval:
 
 
 def _matching_interval(orbits: _EndpointOrbits, budget: int) -> MatchingInterval:
-    # Pairs with K = 0 or L = 0 have no digit prefix to pin a cylinder with.
-    for k, l in orbits.diagonal_heads(budget):
-        if orbits.stability(k, l) != STABLE:
-            continue
-        cyl_a = cylinder_interval("alpha", orbits.a.head(k), orbits.N)
-        cyl_b = cylinder_interval("alpha_plus_one", orbits.b.head(l), orbits.N)
-        interval = cyl_a.intersect(cyl_b)
-        if not interval.contains(orbits.alpha):
-            raise MismatchDetected("stable pair's interval misses alpha")
-        return MatchingInterval(orbits.alpha, orbits.N, k, l, interval)
-    raise BadRational(orbits.alpha, orbits.N, budget)
+    heads = orbits.stable_heads()
+    first = min(((k + l, k, l) for k, l in heads if max(k, l) <= budget), default=None)
+    if first is None:
+        exc = BadRational(orbits.alpha, orbits.N, budget)
+        exc.proved = not heads and None not in (orbits.a.one_at, orbits.b.one_at)
+        raise exc
+    _, k, l = first
+    cyl_a = cylinder_interval("alpha", orbits.a.head(k), orbits.N)
+    cyl_b = cylinder_interval("alpha_plus_one", orbits.b.head(l), orbits.N)
+    interval = cyl_a.intersect(cyl_b)
+    if not interval.contains(orbits.alpha):
+        raise MismatchDetected("stable pair's interval misses alpha")
+    return MatchingInterval(orbits.alpha, orbits.N, k, l, interval)
 
 
 @dataclass(frozen=True)

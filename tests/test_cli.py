@@ -85,6 +85,9 @@ def test_interval_and_bad_rational(capsys):
     assert code == 3
     data = json.loads(out)
     assert data["bad_rational_candidate"] and data["certificate"]["valid"]
+    assert data["proved"] is True
+    code, out, _ = run(capsys, "--format", "json", "interval", "--alpha", "2/9", "--budget", "3")
+    assert code == 3 and json.loads(out)["proved"] is False
 
 
 def test_interval_rejects_surd_alpha(capsys):
@@ -163,6 +166,33 @@ def test_verify_rejects_an_empty_k_range(capsys):
     code, out, err = run(capsys, "verify", "--k", "5..2")
     assert code == 1 and out == ""
     assert err.startswith("usage: nacf verify")
+
+
+def test_parse_errors_say_which_argument_is_wrong(capsys):
+    code, _, err = run(capsys, "verify", "--k", "5..2")
+    assert code == 1
+    assert err.splitlines()[-1] == "nacf verify: error: argument --k: empty k range: '5..2'"
+    code, _, err = run(capsys, "expand", "--x", "0.73", "--N", "2", "--alpha", "1/3", "--n", "2")
+    assert code == 1 and "argument --x: not an exact number: '0.73'" in err
+    code, _, err = run(capsys, "match", "--alpha", "1/3", "--N", "2", "--no-such-option")
+    assert code == 1 and "unrecognized arguments: --no-such-option" in err
+
+
+def test_badrat_bounds_n(capsys):
+    code, out, err = run(capsys, "--format", "json", "badrat", "--n", "10000")
+    assert code == 0 and json.loads(out)["valid"]
+    for n in ("10001", "100000"):
+        code, out, err = run(capsys, "badrat", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: badrat needs n <= 10000, got {n}\n"
+
+
+def test_verify_bounds_the_k_range(capsys):
+    code, out, err = run(capsys, "verify", "--k", "0..100000")
+    assert code == 2 and out == ""
+    assert err == "error: verify takes at most 1000 k values, got 100001\n"
+    code, out, _ = run(capsys, "verify", "--table", "--family", "i", "--k", "1..1000")
+    assert code == 0 and out == "family i: 1000/1000 pass\n"
 
 
 def test_domain_errors_exit_two(capsys):

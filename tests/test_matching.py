@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
                            verify_theorem_intervals)
+from nacf.orbits import PERIODIC, InvariantViolation
 
 
 def iterate(x, p, count):
@@ -322,14 +324,17 @@ def test_scan_intervals_are_disjoint_and_hold_their_alphas():
 
 
 def test_scan_matches_brute_force_reference():
-    for alpha in _scan_alphas():
-        want = _reference_stable_pair(alpha, 12)
-        try:
-            mi = matching_interval(alpha, 2, budget=12)
-        except BadRational:
-            assert want is None, alpha
-        else:
-            assert (mi.K, mi.L, mi.interval) == want, alpha
+    # at budget 5 some endpoint orbits reach 1 exactly at the budget, where
+    # their trace has no periodic verdict yet
+    for budget in (3, 5, 12):
+        for alpha in _scan_alphas():
+            want = _reference_stable_pair(alpha, budget)
+            try:
+                mi = matching_interval(alpha, 2, budget=budget)
+            except BadRational:
+                assert want is None, (alpha, budget)
+            else:
+                assert (mi.K, mi.L, mi.interval) == want, (alpha, budget)
 
 
 def _count_calls(monkeypatch):
@@ -356,6 +361,81 @@ def test_stability_is_decided_once_per_diagonal(monkeypatch):
     with pytest.raises(BadRational):
         matching_interval(Fraction(1, 8), 2, budget=40)
     assert 0 < calls["projective_equiv"] <= 81
+
+
+def test_stable_diagonals_are_decided_in_closed_form(monkeypatch):
+    # both N = 2 endpoint orbits end at 1, so at most two diagonal heads
+    # need a check, whatever the budget
+    calls = _count_calls(monkeypatch)
+    for budget in (40, 2000, 10 ** 6):
+        calls.clear()
+        with pytest.raises(BadRational):
+            matching_interval(Fraction(1, 8), 2, budget=budget)
+        assert calls["projective_equiv"] <= 2
+
+
+def test_bad_rationals_are_proved():
+    for n in range(3, 13):
+        with pytest.raises(BadRational) as info:
+            matching_interval(Fraction(1, 2 ** n), 2)
+        assert info.value.proved is bad_rational_certificate(n).valid is True
+    # family iii at k = 4 has no stable pair at any K and L
+    with pytest.raises(BadRational) as info:
+        matching_interval(Fraction(13, 176), 2)
+    assert info.value.proved
+    # 2/9's stable pair (3, 5) lies past the budget, and alpha + 1 has not
+    # reached 1 within it
+    with pytest.raises(BadRational) as info:
+        matching_interval(Fraction(2, 9), 2, budget=3)
+    assert not info.value.proved
+    mi = matching_interval(Fraction(2, 9), 2, budget=5)
+    assert (mi.K, mi.L) == (3, 5)
+    # both orbits of 3/31 reach 1 within four steps; the stable pair (2, 6)
+    # still lies past budget 5
+    with pytest.raises(BadRational) as info:
+        matching_interval(Fraction(3, 31), 2, budget=5)
+    assert not info.value.proved
+    mi = matching_interval(Fraction(3, 31), 2, budget=6)
+    assert (mi.K, mi.L) == (2, 6)
+
+
+def _proved_bad(alpha, budget):
+    try:
+        matching_interval(alpha, 2, budget=budget)
+    except BadRational as exc:
+        return exc.proved
+    return False
+
+
+def test_proved_bad_rationals_hold_no_stable_pair_far_out():
+    # all 161 bad rationals of the scan are proved at budget 12; every
+    # matched pair up to K, L = 40 is checked directly
+    proved = [alpha for alpha in _scan_alphas() if _proved_bad(alpha, 12)]
+    assert len(proved) == 161
+    for alpha in proved:
+        p = Params(2, alpha)
+        va, vb = [alpha], [alpha + 1]
+        for _ in range(40):
+            va.append(step(va[-1], p)[1])
+            vb.append(step(vb[-1], p)[1])
+        assert not [(k, l) for k, l in equivalence_scan(alpha, 2, 40, 40)
+                    if va[k] == vb[l]], alpha
+
+
+def test_an_n2_orbit_cycling_away_from_one_is_an_internal_error(monkeypatch, capsys):
+    # the closed form rests on the paper's period-1 theorem; a trace that
+    # contradicts it must not be read as a bad rational
+    orbit = nacf.matching.orbit_rational
+
+    def relabelled(x, p, budget=1000):
+        trace = orbit(x, p, budget)
+        return dataclasses.replace(trace, verdict=dataclasses.replace(trace.verdict, kind=PERIODIC))
+
+    monkeypatch.setattr(nacf.matching, "orbit_rational", relabelled)
+    with pytest.raises(InvariantViolation):
+        matching_interval(Fraction(1, 8), 2)
+    assert main(["interval", "--alpha", "1/8"]) == 4
+    assert "cycles away from 1" in capsys.readouterr().err
 
 
 def test_family_check_computes_each_endpoint_orbit_once(monkeypatch):
