@@ -269,8 +269,20 @@ def detect_matching(alpha, n: int, budget: int = 500
 
     Pairs are ordered by K+L, ties broken towards smaller K.  A miss within
     the budget returns a NoMatchWithinBudget record carrying the congruence
-    obstruction certificate when its hypotheses hold.
+    obstruction certificate when its hypotheses hold.  The certificate is
+    tried first: where it holds, matching fails at every K and L, so the
+    record is returned without iterating either orbit.  The inputs are
+    checked as the scan checks them, so errors and their order are the
+    same on both paths.
     """
+    if not isinstance(_as_exact(alpha), Fraction):
+        raise ValueError("matching detection works on rational parameters")
+    p = Params(n, alpha)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    obs = no_matching_obstruction(p.alpha, n)
+    if obs.holds:
+        return NoMatchWithinBudget(p.alpha, n, budget, obs)
     return _detect_matching(_EndpointOrbits(alpha, n, budget), budget)
 
 
@@ -426,6 +438,12 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     steps; each early step is then cleared by checking that d*q + p = 0
     (mod N) is unsatisfiable over the digit set, where p/q is the next
     orbit value.
+
+    The certificate declines at the cut points where N/alpha - alpha or
+    N/(alpha+1) - alpha is an integer.  There the endpoints match in one
+    step: the left-end rule sends alpha to alpha + 1 (K, L = 1, 0), or
+    alpha + 1 lands on alpha (K, L = 0, 1); alpha = 1 for prime N >= 5 and
+    alpha = 2 for N = 9 are examples with every digit coprime with N.
     """
     alpha = _as_exact(alpha)
     if not isinstance(alpha, Fraction):
@@ -433,6 +451,8 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     p = Params(n, alpha)
     if not all_digits_coprime(p):
         return Obstruction(False, "some digit shares a factor with N")
+    if any((Fraction(n) / end - alpha).denominator == 1 for end in (alpha, alpha + 1)):
+        return Obstruction(False, "cut point: an endpoint maps to the other in one step")
     t0, s0 = alpha.numerator, alpha.denominator
     if (t0 + s0) % n == 0:
         return Obstruction(False, "N divides t0 + s0")

@@ -3,6 +3,9 @@
 Rational points are tracked both through reduced fractions (which decide
 periodicity) and through the raw numerator/denominator recurrence
 t' = N*s - d*t, s' = t that the divisibility arguments reason about.
+The same divisibility fact keeps the reduction cheap: for t/s in lowest
+terms, gcd(N*s - d*t, t) = gcd(N*s, t) = gcd(N, t), so each step divides
+by a gcd taken with N instead of one between two growing numerators.
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
 """
@@ -135,6 +138,14 @@ def _alpha_parts(p: Params):
     return ("surd", a.a, a.b, a.c, a.d)
 
 
+def _lowest_terms(t: int, s: int) -> Fraction:
+    # t/s with gcd(t, s) = 1 and s > 0, built without Fraction's gcd; the
+    # private constructor keyword differs across Python versions.
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = t, s
+    return f
+
+
 def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     """Orbit of a rational point, with cycle detection on reduced values.
 
@@ -169,12 +180,12 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")
         rt, rs = p.N * rs - d * rt, rt
-        t1 = p.N * s - d * t
-        t, s = t1 // math.gcd(t1, t), t // math.gcd(t1, t)
+        g = math.gcd(p.N, t)
+        t, s = (p.N * s - d * t) // g, t // g
         if rt * s != t * rs:
             raise InvariantViolation("raw recurrence disagrees with reduced value")
         digits.append(d)
-        states.append(RationalOrbitState(n, rt, rs, Fraction(t, s)))
+        states.append(RationalOrbitState(n, rt, rs, _lowest_terms(t, s)))
         key = (t, s)
         if key in seen:
             i = seen[key]

@@ -66,13 +66,18 @@ def test_match_negative_exit(capsys):
 
 
 def test_match_above_two_reports_the_match(capsys):
-    # a found match for N != 2 has no obstruction to report and no interval
-    code, out, _ = run(capsys, "--format", "json", "match", "--alpha", "73/100", "--N", "3")
-    assert code == 0
-    data = json.loads(out)
-    assert (data["K"], data["L"], data["stable"]) == (3, 3, "stable")
-    assert data["certificates"] == []
-    assert "interval" not in data
+    # a found match for N != 2 has no obstruction to report and no interval;
+    # 1 (N = 5) and 2 (N = 9) are cut points of the coprime region that
+    # match in one step
+    for alpha, n, want in (("73/100", "3", (3, 3, "stable")),
+                           ("1/1", "5", (1, 0, "unknown-for-this-N")),
+                           ("2/1", "9", (0, 1, "unknown-for-this-N"))):
+        code, out, _ = run(capsys, "--format", "json", "match", "--alpha", alpha, "--N", n)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["K"], data["L"], data["stable"]) == want
+        assert data["certificates"] == []
+        assert "interval" not in data
 
 
 def test_interval_and_bad_rational(capsys):
@@ -200,6 +205,14 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2 and "outside" in err
     code, _, err = run(capsys, "expand", "--x", "1/2", "--N", "2", "--alpha", "1/2", "--n", "2")
     assert code == 2
+    # match answers from the obstruction certificate for 6/5, N = 5, after
+    # the same input checks as an orbit scan
+    for alpha, n, budget, message in (
+            ("6/5", "5", "-5", "error: budget must be >= 1\n"),
+            ("(0+1*sqrt(2))/1", "5", "300", "error: matching detection works on rational parameters\n"),
+            ("5/1", "5", "-5", "error: alpha must lie in (0, sqrt(N)-1]\n")):
+        code, out, err = run(capsys, "match", "--alpha", alpha, "--N", n, "--budget", budget)
+        assert (code, out, err) == (2, "", message)
 
 
 def test_config_file(tmp_path, capsys):

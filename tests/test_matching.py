@@ -1,10 +1,13 @@
 import dataclasses
+import math
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import nacf.matching
 from nacf.cli import main
@@ -18,7 +21,8 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            detect_matching, equivalence_scan,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
-                           verify_theorem_intervals)
+                           verify_theorem_intervals, _EndpointOrbits,
+                           _detect_matching)
 from nacf.orbits import PERIODIC, InvariantViolation
 
 
@@ -41,6 +45,14 @@ def test_detect_matching_examples():
     miss = detect_matching(Fraction(6, 5), 5, budget=300)
     assert isinstance(miss, NoMatchWithinBudget)
     assert miss.obstruction is not None and miss.obstruction.holds
+
+    # the certified path checks its inputs as the orbit scan does
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        detect_matching(Fraction(6, 5), 5, 0)
+    with pytest.raises(ValueError, match="rational parameters"):
+        detect_matching(surd(0, 1, 2), 5, 0)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        detect_matching(Fraction(5), 5, 0)
 
 
 def test_detected_pairs_really_match():
@@ -209,6 +221,34 @@ def test_obstruction_examples():
     assert not no_matching_obstruction(Fraction(1, 8), 2).holds
     assert no_matching_obstruction(Fraction(15, 8), 9).holds
     assert not no_matching_obstruction(Fraction(9, 8), 9).holds  # 9 | t0, composite
+    # cut points: every digit is coprime with N, but T(alpha) = alpha + 1
+    # (alpha = 1) or T(alpha + 1) = alpha (the other two), a match in one step
+    for alpha, n in ((1, 5), (2, 9), (4, 25)):
+        assert not no_matching_obstruction(Fraction(alpha), n).holds
+
+
+@st.composite
+def _rational_params(draw):
+    """(alpha, N) with N in 3..40 and alpha = p/q in (0, sqrt(N)-1], q <= 200."""
+    n = draw(st.integers(3, 40))
+    q = draw(st.integers(1, 200))
+    p_max = math.isqrt(n * q * q) - q  # p + q <= q sqrt(N)
+    assume(p_max >= 1)
+    return Fraction(draw(st.integers(1, p_max)), q), n
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_rational_params())
+@example((Fraction(1), 5))
+@example((Fraction(2), 9))
+def test_obstruction_means_no_match(params):
+    # detect_matching answers from the certificate without iterating, so the
+    # certificate must never hold where the orbit scan finds a match
+    alpha, n = params
+    assume(no_matching_obstruction(alpha, n).holds)
+    scanned = _detect_matching(_EndpointOrbits(alpha, n, 400), 400)
+    assert isinstance(scanned, NoMatchWithinBudget)
+    assert repr(detect_matching(alpha, n, 400)) == repr(scanned)
 
 
 def test_family_iii_closed_forms_break_at_four():

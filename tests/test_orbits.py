@@ -255,14 +255,22 @@ def test_cycle_detection_is_sound():
 
 def test_lasso_reads_follow_the_map():
     # past the first repeat the trace is read modulo its cycle; a trace
-    # that found no cycle ends at its budget
+    # that found no cycle ends at its budget.  Every stored value is the
+    # canonical Fraction that Fraction(num, den) builds.
     rng = random.Random(66)
-    periodic = 0
+    cases = []
     for _ in range(300):
         p = random_params(rng, rng.randint(2, 12))
-        x = random_rational_in(p, rng)
-        budget = rng.randint(1, 40)
+        cases.append((random_rational_in(p, rng), p, rng.randint(1, 40)))
+    cases.append((Fraction(6, 5), Params(5, Fraction(11, 10)), 300))  # coprime region
+    periodic = 0
+    for x, p, budget in cases:
         trace = orbit_rational(x, p, budget)
+        for st in trace.states:
+            num, den = st.value.numerator, st.value.denominator
+            assert den > 0 and math.gcd(num, den) == 1
+            assert st.value == Fraction(num, den)
+            assert hash(st.value) == hash(Fraction(num, den))
         v = trace.verdict
         periodic += v.is_periodic
         last = 3 * v.first_repeat + 2 if v.is_periodic else budget
