@@ -19,8 +19,7 @@ from .expansion import OutOfDomain, Params, expand
 from .matching import (BadRational, MatchReport, MismatchDetected,
                        NoMatchWithinBudget, bad_rational_certificate,
                        detect_matching, matching_interval,
-                       verify_theorem_intervals, _EndpointOrbits,
-                       _detect_matching, _matching_interval)
+                       verify_theorem_intervals)
 from .orbits import InvariantViolation, orbit_quadratic, orbit_rational
 from .paramspace import NotApplicable, emit_kset_plot_data, no_matching_regions
 
@@ -114,16 +113,12 @@ def _cmd_orbit(args, cfg):
 
 def _cmd_match(args, cfg):
     budget = args.budget or cfg["budget"]
-    if args.N == 2:  # no obstruction for N = 2; the interval reads the same orbits
-        orbits = _EndpointOrbits(args.alpha, 2, budget)
-        report = _detect_matching(orbits, budget)
-    else:
-        report = detect_matching(args.alpha, args.N, budget)
+    report = detect_matching(args.alpha, args.N, budget)
     out = report.to_json()
     out["certificates"] = []
     if isinstance(report, MatchReport) and args.N == 2:
         try:
-            mi = _matching_interval(orbits, min(budget, 64))
+            mi = matching_interval(args.alpha, 2, budget=min(budget, 64))
             out["stable_exponents"] = [mi.K, mi.L]
             out["interval"] = mi.interval.to_json()
             out["interval_text"] = _interval_text(mi.interval, cfg["precision"])

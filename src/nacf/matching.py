@@ -35,6 +35,7 @@ check made for that parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -193,6 +194,12 @@ class _Orbit:
         return next((i for i, st in enumerate(self.trace.states) if st.value == 1), None)
 
 
+def _rational_params(alpha, n: int) -> Params:
+    if not isinstance(_as_exact(alpha), Fraction):
+        raise ValueError("matching detection works on rational parameters")
+    return Params(n, alpha)
+
+
 class _EndpointOrbits:
     """The orbits of a rational alpha (``a``) and of alpha + 1 (``b``) over
     ``count`` steps.
@@ -202,9 +209,7 @@ class _EndpointOrbits:
     """
 
     def __init__(self, alpha, n: int, count: int):
-        if not isinstance(_as_exact(alpha), Fraction):
-            raise ValueError("matching detection works on rational parameters")
-        p = Params(n, alpha)
+        p = _rational_params(alpha, n)
         self.alpha, self.N = p.alpha, n
         self.a = _Orbit(p.alpha, p, count)
         self.b = _Orbit(p.upper, p, count)
@@ -267,23 +272,20 @@ def detect_matching(alpha, n: int, budget: int = 500
                     ) -> Union[MatchReport, NoMatchWithinBudget]:
     """Scan the exact endpoint orbits for the minimal matched pair.
 
-    Pairs are ordered by K+L, ties broken towards smaller K.  A miss within
-    the budget returns a NoMatchWithinBudget record carrying the congruence
-    obstruction certificate when its hypotheses hold.  The certificate is
-    tried first: where it holds, matching fails at every K and L, so the
-    record is returned without iterating either orbit.  The inputs are
-    checked as the scan checks them, so errors and their order are the
-    same on both paths.
+    Pairs are ordered by K+L, ties broken towards smaller K.  The
+    congruence certificate of no_matching_obstruction is tried first,
+    after the input checks the scan makes: where it holds the orbits never
+    meet, and the NoMatchWithinBudget record carrying it is returned
+    without iterating either orbit.  A miss within the budget carries no
+    certificate.
     """
-    if not isinstance(_as_exact(alpha), Fraction):
-        raise ValueError("matching detection works on rational parameters")
-    p = Params(n, alpha)
+    p = _rational_params(alpha, n)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     obs = no_matching_obstruction(p.alpha, n)
     if obs.holds:
         return NoMatchWithinBudget(p.alpha, n, budget, obs)
-    return _detect_matching(_EndpointOrbits(alpha, n, budget), budget)
+    return _detect_matching(_EndpointOrbits(p.alpha, n, budget), budget)
 
 
 def _detect_matching(orbits: _EndpointOrbits, budget: int
@@ -291,8 +293,7 @@ def _detect_matching(orbits: _EndpointOrbits, budget: int
     alpha, n = orbits.alpha, orbits.N
     hit = _minimal_match(orbits.a.trace, orbits.b.trace, budget)
     if hit is None:
-        obs = no_matching_obstruction(alpha, n)
-        return NoMatchWithinBudget(alpha, n, budget, obs if obs.holds else None)
+        return NoMatchWithinBudget(alpha, n, budget)
     k, l, value = hit
     return MatchReport(alpha, n, k, l, value, orbits.stability(k, l))
 
@@ -429,21 +430,36 @@ class Obstruction:
 
 
 def no_matching_obstruction(alpha, n: int) -> Obstruction:
-    """Congruence certificate that alpha has no (stable) matching.
+    """Congruence certificate that the endpoint orbits of alpha never meet.
 
-    Requires every digit of (N, alpha) to be coprime with N and the reduced
-    numerators of both endpoint orbits to stay clear of N.  For alpha = t/s
-    this follows from N not dividing t nor t+s.  When N is prime and divides
-    t, the reduced numerators become coprime with N after finitely many
-    steps; each early step is then cleared by checking that d*q + p = 0
-    (mod N) is unsatisfiable over the digit set, where p/q is the next
-    orbit value.
+    Call x = t/s (lowest terms) coprime when gcd(t, N) = 1.  A step sends
+    x to (N s - d t)/t, and gcd(N s - d t, t) = gcd(N, t), so a coprime x
+    maps to z = P/Q with Q = t and N | P + d Q.  With every digit coprime
+    with N the digits span fewer than N integers, so that congruence fixes
+    d: z has at most one coprime preimage, Q/((P + d Q)/N), and z is
+    coprime again.  Let v_0..v_j and w_0..w_k be the orbits of alpha and
+    alpha + 1 up to their first coprime values (j = 0 or k = 0 when the
+    endpoint itself is coprime).  Take a minimal match
+    T^K(alpha) = T^L(alpha + 1) = z:
 
-    The certificate declines at the cut points where N/alpha - alpha or
-    N/(alpha+1) - alpha is an integer.  There the endpoints match in one
-    step: the left-end rule sends alpha to alpha + 1 (K, L = 1, 0), or
-    alpha + 1 lands on alpha (K, L = 0, 1); alpha = 1 for prime N >= 5 and
-    alpha = 2 for N = 9 are examples with every digit coprime with N.
+    - L = 0: a step takes the value alpha + 1 only through the left-end
+      rule at alpha, where N/alpha - alpha is an integer (alpha = 1 matches
+      at K, L = 1, 0 this way).  The certificate declines at this cut point.
+    - K = 0: z = alpha = T(y) with y = w_{L-1}.  If y is not coprime, alpha
+      is among w_1..w_k.  If it is, w_k..w_{L-1} are all coprime, so
+      walking back from alpha through coprime preimages reaches w_k.
+    - K, L >= 1: x = v_{K-1} and y = w_{L-1} differ, by minimality, and
+      T(x) = T(y).  Were both coprime, both would be the one coprime
+      preimage of z.  So x is not coprime (K <= j, and z = v_K has a
+      coprime preimage or is among w_1..w_k) or y is not (L <= k, and
+      z = w_L has a coprime preimage or is among v_1..v_j).
+
+    So the certificate holds when alpha is no cut point, no value of
+    v_1..v_j and w_1..w_k has a coprime preimage, the walk back from alpha
+    misses w_k, and the two lists share no value.  Both lists and the walk
+    are cut at 64 steps, and the certificate declines past that.  It also
+    declines outright when N divides t0 + s0, or when N is composite and
+    divides t0.  Where both endpoints are coprime it iterates neither orbit.
     """
     alpha = _as_exact(alpha)
     if not isinstance(alpha, Fraction):
@@ -451,30 +467,47 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     p = Params(n, alpha)
     if not all_digits_coprime(p):
         return Obstruction(False, "some digit shares a factor with N")
-    if any((Fraction(n) / end - alpha).denominator == 1 for end in (alpha, alpha + 1)):
-        return Obstruction(False, "cut point: an endpoint maps to the other in one step")
+    if (Fraction(n) / alpha - alpha).denominator == 1:
+        return Obstruction(False, "cut point: alpha maps to alpha + 1 in one step")
     t0, s0 = alpha.numerator, alpha.denominator
     if (t0 + s0) % n == 0:
         return Obstruction(False, "N divides t0 + s0")
-    if t0 % n != 0:
-        return Obstruction(True, "digits coprime with N; N divides neither t0 nor t0+s0")
-    # N | t0: usable only for prime N, where non-divisibility of the reduced
-    # numerators re-establishes itself after finitely many steps and the
-    # early steps can be cleared one by one.
-    if any(n % q == 0 for q in range(2, n)):
+    if t0 % n == 0 and any(n % q == 0 for q in range(2, n)):
         return Obstruction(False, "N divides t0 and N is composite")
     ds = digit_set(p)
-    trace = orbit_rational(alpha, p, budget=64)
-    vals = trace.values()
-    for i, v in enumerate(vals):
-        if v.numerator % n != 0:
+
+    def preimage(z: Fraction) -> Optional[Fraction]:
+        for d in ds:
+            if (z.numerator + d * z.denominator) % n == 0:
+                return Fraction(z.denominator, (z.numerator + d * z.denominator) // n)
+        return None
+
+    heads = []
+    for x, where in ((alpha, ""), (alpha + 1, " of alpha + 1")):
+        vals = [x] if math.gcd(x.numerator, n) == 1 else orbit_rational(x, p, budget=64).values()
+        for i, v in enumerate(vals):
+            if math.gcd(v.numerator, n) == 1:
+                heads.append(vals[:i + 1])
+                break
+            if i + 1 >= len(vals):
+                return Obstruction(False, "numerators kept the factor N past the scan window")
+            if preimage(vals[i + 1]) is not None:
+                return Obstruction(False, f"congruence escape at step {i}{where}")
+    va, wb = heads
+    if not set(va).isdisjoint(wb[1:]):
+        return Obstruction(False, "the endpoint orbits meet before they turn coprime")
+    z, seen = alpha, set()
+    for _ in range(64):
+        z = preimage(z)
+        if z is None or not alpha <= z <= alpha + 1 or z in seen:
             break
-        if i + 1 >= len(vals):
-            return Obstruction(False, "numerators kept the factor N past the scan window")
-        nxt = vals[i + 1]
-        pq = (nxt.numerator, nxt.denominator)
-        if any((d * pq[1] + pq[0]) % n == 0 for d in ds):
-            return Obstruction(False, f"congruence escape at step {i}")
+        if z == wb[-1]:
+            return Obstruction(False, "the orbit of alpha + 1 reaches alpha")
+        seen.add(z)
+    else:
+        return Obstruction(False, "the walk back from alpha ran past the scan window")
+    if t0 % n != 0:
+        return Obstruction(True, "digits coprime with N; N divides neither t0 nor t0+s0")
     return Obstruction(True, "digits coprime with N; early N-divisible steps cleared")
 
 
