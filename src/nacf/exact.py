@@ -2,8 +2,11 @@
 
 Every value handled by this package is an ``ExactNumber``: either a
 ``fractions.Fraction`` or a :class:`Surd` representing ``(a + b*sqrt(d))/c``.
-Floors, comparisons and root selection are carried out with integer
-arithmetic only; there is no floating-point anywhere on a decision path.
+Both are read through one integer view, the tuple (a, b, c, d) with c > 0
+and b = d = 0 for a rational.  Comparisons, floors and decimal rendering
+work on that view through the sign and floor kernels below, without
+building intermediate surds.  Floors, comparisons and root selection use
+integer arithmetic only; there is no floating-point on a decision path.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count
 from typing import Union
 
 
@@ -47,15 +51,16 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-@lru_cache(maxsize=None)
+_SPLIT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_SPLIT_CACHE_SIZE)
 def _square_free_split(n: int) -> tuple[int, int]:
     # n = s*s*f with f squarefree.  Trial division over a fixed prime sieve,
     # continued with odd candidates in the (rare) case of huge radicands.
     s, f = 1, 1
-    exhausted = True
-    for p in _small_primes():
+    for p in chain(_small_primes(), count(_PRIME_LIMIT + 1, 2)):
         if p * p > n:
-            exhausted = False
             break
         if n % p == 0:
             e = 0
@@ -65,18 +70,6 @@ def _square_free_split(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 f *= p
-    if exhausted:
-        p = _PRIME_LIMIT + 1
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                s *= p ** (e // 2)
-                if e % 2:
-                    f *= p
-            p += 2
     return s, f * n
 
 
@@ -101,7 +94,12 @@ def _sign2(p: int, q: int, d: int) -> int:
 
 
 def _sign3(p: int, q: int, d1: int, r: int, d2: int) -> int:
-    """Sign of p + q*sqrt(d1) + r*sqrt(d2) for distinct non-square radicands."""
+    """Sign of p + q*sqrt(d1) + r*sqrt(d2), integer arithmetic only.
+
+    Once p + q*sqrt(d1) and -r*sqrt(d2) have the same sign, comparing their
+    squares decides, and that argument holds for any radicands: distinct,
+    equal, or 0 for a rational term.
+    """
     sa = _sign2(p, q, d1)     # p + q*sqrt(d1)  vs  -r*sqrt(d2)
     sb = _sign(-r)
     if sa != sb:
@@ -204,9 +202,6 @@ class Surd:
     def sign(self) -> int:
         return _sign2(self.a, self.b, self.d)
 
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.c, self.d)
-
     def __eq__(self, other):
         if isinstance(other, Surd):
             return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
@@ -286,34 +281,31 @@ def surd_arith(x, y, op: str) -> ExactNumber:
     return _OPS[op](_as_exact(x), _as_exact(y))
 
 
+def _surd_parts(x) -> tuple[int, int, int, int]:
+    # The integer view (a, b, c, d) of x = (a + b*sqrt(d))/c with c > 0;
+    # b = d = 0 for a rational.
+    x = _as_exact(x)
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, 0
+    return x.a, x.b, x.c, x.d
+
+
 def compare_exact(x, y) -> int:
     """Exact trichotomy: -1, 0 or +1 for x < y, x = y, x > y.
 
-    Works across rationals and surds with equal or different radicands;
-    signs are decided by cross-multiplication and squaring only.
+    Works across rationals and surds with equal or different radicands:
+    the sign of x - y is decided on the integer views by cross-multiplication
+    and squaring only.
     """
-    x, y = _as_exact(x), _as_exact(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return _sign(x - y)
-    if isinstance(x, Fraction):
-        return -compare_exact(y, x)
-    if isinstance(y, Fraction):
-        return _sign2(x.a * y.denominator - y.numerator * x.c,
-                      x.b * y.denominator, x.d)
-    if x.d == y.d:
-        diff = x - y
-        if isinstance(diff, Fraction):
-            return _sign(diff)
-        return diff.sign()
-    return _sign3(x.a * y.c - y.a * x.c, x.b * y.c, x.d, -y.b * x.c, y.d)
+    xa, xb, xc, xd = _surd_parts(x)
+    ya, yb, yc, yd = _surd_parts(y)
+    return _sign3(xa * yc - ya * xc, xb * yc, xd, -yb * xc, yd)
 
 
 def floor_exact(x) -> int:
     """Greatest integer <= x, via integer-square-root bounding for surds."""
-    x = _as_exact(x)
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    return _floor_linear_surd(x.a, x.b, x.d, x.c)
+    a, b, c, d = _surd_parts(x)
+    return _floor_linear_surd(a, b, d, c)
 
 
 def _floor_linear_surd(p: int, q: int, d: int, e: int) -> int:
@@ -396,8 +388,10 @@ def rational_between(lo, hi) -> Fraction:
 
 def decimal_str(x, places: int) -> str:
     """Decimal rendering of an exact value, rounded half-up. Display only."""
+    # floor(x*10^k + 1/2) = floor((2a*10^k + c + 2b*10^k*sqrt(d))/(2c))
     scale = 10 ** places
-    n = floor_exact(_as_exact(x) * scale + Fraction(1, 2))
+    a, b, c, d = _surd_parts(x)
+    n = _floor_linear_surd(2 * a * scale + c, 2 * b * scale, d, 2 * c)
     sign = "-" if n < 0 else ""
     n = abs(n)
     if places == 0:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
-                    floor_exact, format_exact, is_rational,
-                    solve_mobius_fixed_point, surd, _as_exact)
+                    floor_exact, format_exact, solve_mobius_fixed_point, surd,
+                    _as_exact)
 
 
 class OutOfDomain(ValueError):
@@ -55,9 +56,22 @@ class Params:
                 compare_exact(self.alpha, alpha_max(self.N)) > 0:
             raise ValueError("alpha must lie in (0, sqrt(N)-1]")
 
-    @property
+    @cached_property
     def upper(self) -> ExactNumber:
         return self.alpha + 1
+
+    @cached_property
+    def left_end_quotient(self) -> Optional[int]:
+        """N/alpha - alpha when it is an integer, else None; the left-end
+        rule of :func:`step` applies exactly when this is not None.
+
+        Only a rational alpha is tested: a surd alpha gets None even where
+        the quotient is an integer (N = 2, alpha = (-5+sqrt(33))/2 gives 5).
+        """
+        if not isinstance(self.alpha, Fraction):
+            return None
+        e = Fraction(self.N) / self.alpha - self.alpha
+        return e.numerator if e.denominator == 1 else None
 
     def contains(self, x) -> bool:
         """Membership of x in the closed interval [alpha, alpha+1]."""
@@ -227,7 +241,7 @@ class DigitWord:
 def digit_set(p: Params) -> range:
     """The digits available for (N, alpha), a range of consecutive integers."""
     n, a = p.N, p.alpha
-    d_min = floor_exact(Fraction(n) / (a + 1) - a)
+    d_min = floor_exact(Fraction(n) / p.upper - a)
     d_max = floor_exact(Fraction(n) / a - a)
     return range(d_min, d_max + 1)
 
@@ -237,19 +251,16 @@ def all_digits_coprime(p: Params) -> bool:
     return all(math.gcd(p.N, d) == 1 for d in digit_set(p))
 
 
-def _integral_quotient_at_left_end(p: Params) -> Optional[int]:
-    # N/alpha - alpha when it is a (positive) integer, else None.  Only
-    # rational alpha can produce an integer here.
-    if not is_rational(p.alpha):
-        return None
-    e = Fraction(p.N) / p.alpha - p.alpha
-    return e.numerator if e.denominator == 1 else None
-
-
 def digit(x, p: Params) -> int:
-    """First digit of x: floor(N/x - alpha), adjusted at x = alpha.
+    """First digit of x: floor(N/x - alpha), adjusted at x = alpha (see step)."""
+    return step(x, p)[0]
 
-    When N/alpha - alpha is an integer the plain floor would give the left
+
+def step(x, p: Params) -> tuple[int, ExactNumber]:
+    """One application of the map: returns (digit, N/x - digit).
+
+    The digit is floor(N/x - alpha), adjusted at x = alpha.  When
+    N/alpha - alpha is an integer the plain floor would give the left
     endpoint a private digit; it is lowered by one there so that the point
     maps to alpha + 1 instead.  Interior points with an integral quotient
     keep the plain floor (which already maps them back into the interval).
@@ -268,16 +279,9 @@ def digit(x, p: Params) -> int:
             d += 1
     else:
         d = floor_exact(quotient - p.alpha)
-    if x == p.alpha and _integral_quotient_at_left_end(p) is not None:
+    if x == p.alpha and p.left_end_quotient is not None:
         d -= 1
-    return d
-
-
-def step(x, p: Params) -> tuple[int, ExactNumber]:
-    """One application of the map: returns (digit, N/x - digit)."""
-    x = _as_exact(x)
-    d = digit(x, p)
-    return d, Fraction(p.N) / x - d
+    return d, quotient - d
 
 
 def digit_stream(x, p: Params) -> Iterator[int]:
@@ -312,20 +316,18 @@ def evaluate(w: DigitWord, n: int, tail=None) -> ExactNumber:
 def convergents(w, n: int) -> list[tuple[int, int, Mobius]]:
     """Numerators, denominators and matrices along a digit prefix.
 
-    Returns [(p_1, q_1, M_1), ...] with p_i = d_i p_{i-1} + N p_{i-2},
-    q_i likewise, seeds p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1, and
-    M_i = [[p_{i-1}, p_i], [q_{i-1}, q_i]].  det(M_i) = (-N)^i is checked.
+    Returns [(p_1, q_1, M_1), ...] with the running products
+    M_i = M_{i-1} * branch(N, d_i) = [[p_{i-1}, p_i], [q_{i-1}, q_i]], so
+    p_i = d_i p_{i-1} + N p_{i-2} and q_i likewise from the seeds
+    p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.  det(M_i) = (-N)^i is checked.
     """
     digits = w.prefix if isinstance(w, DigitWord) else tuple(w)
-    p_prev, p_cur, q_prev, q_cur = 1, 0, 0, 1
-    out = []
+    m, out = IDENTITY, []
     for i, dg in enumerate(digits, 1):
-        p_prev, p_cur = p_cur, dg * p_cur + n * p_prev
-        q_prev, q_cur = q_cur, dg * q_cur + n * q_prev
-        m = Mobius(p_prev, p_cur, q_prev, q_cur)
+        m = m @ Mobius.branch(n, dg)
         if m.det() != (-n) ** i:
             raise RuntimeError("determinant law violated in convergent recurrence")
-        out.append((p_cur, q_cur, m))
+        out.append((m.b, m.d, m))
     return out
 
 
@@ -378,7 +380,7 @@ def validate_expansion(w: DigitWord, p: Params, depth: int = 96) -> bool:
     digits = set(w.prefix) | set(w.period)
     if not digits <= set(digit_set(p)):
         return False
-    boundary_chain_ok = _integral_quotient_at_left_end(p) is not None
+    boundary_chain_ok = p.left_end_quotient is not None
     left, right_end = expand(p.alpha, p, depth), expand(p.upper, p, depth)
     shifts = len(w.prefix) + len(w.period)
     cur = w

@@ -305,10 +305,7 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     non-equivalence is conclusive only for N = 2 and is otherwise reported
     as unknown.
     """
-    return _stability_check(_EndpointOrbits(alpha, n, max(k, l) + 1), k, l)
-
-
-def _stability_check(orbits: _EndpointOrbits, k: int, l: int) -> str:
+    orbits = _EndpointOrbits(alpha, n, max(k, l) + 1)
     if orbits.a.trace.value_at(k) != orbits.b.trace.value_at(l):
         raise PrerequisiteNotMet(f"T^{k}(alpha) != T^{l}(alpha+1)")
     return orbits.stability(k, l)
@@ -467,7 +464,7 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     p = Params(n, alpha)
     if not all_digits_coprime(p):
         return Obstruction(False, "some digit shares a factor with N")
-    if (Fraction(n) / alpha - alpha).denominator == 1:
+    if p.left_end_quotient is not None:
         return Obstruction(False, "cut point: alpha maps to alpha + 1 in one step")
     t0, s0 = alpha.numerator, alpha.denominator
     if (t0 + s0) % n == 0:
@@ -681,13 +678,13 @@ def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyChe
         failures.append("matrix for alpha")
     if mb != rm.scaled(forms["m_scale"]):
         failures.append("matrix for alpha+1")
-    if not projective_equiv(rm, mb):
+    equiv = projective_equiv(rm, mb)
+    if not equiv:
         failures.append("projective equivalence")
-    try:
-        if _stability_check(orbits, kk, ll) != STABLE:
-            failures.append("stability")
-    except PrerequisiteNotMet:
+    if orbits.a.trace.value_at(kk) != orbits.b.trace.value_at(ll):
         failures.append("stability (exponents do not match)")
+    elif not equiv:
+        failures.append("stability")
 
     interval = None
     if not matrices_only:

@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import (Surd, compare_exact, format_exact, _floor_linear_surd,
-                    _as_exact, is_rational)
-from .expansion import (OutOfDomain, Params, all_digits_coprime, digit, step,
-                        _integral_quotient_at_left_end)
+                    _as_exact, _surd_parts)
+from .expansion import OutOfDomain, Params, all_digits_coprime, step
 
 
 class InvariantViolation(RuntimeError):
@@ -122,22 +121,6 @@ class OrbitTrace:
         return out
 
 
-def _digit_of_fraction(t: int, s: int, p: Params, alpha_parts) -> int:
-    # floor(N*s/t - alpha) on the reduced fraction t/s, integer-only
-    if alpha_parts[0] == "rat":
-        _, ap, aq = alpha_parts
-        return (p.N * s * aq - ap * t) // (t * aq)
-    _, aa, ab, ac, ad = alpha_parts
-    return _floor_linear_surd(p.N * s * ac - aa * t, -ab * t, ad, t * ac)
-
-
-def _alpha_parts(p: Params):
-    if is_rational(p.alpha):
-        return ("rat", p.alpha.numerator, p.alpha.denominator)
-    a = p.alpha
-    return ("surd", a.a, a.b, a.c, a.d)
-
-
 def _lowest_terms(t: int, s: int) -> Fraction:
     # t/s with gcd(t, s) = 1 and s > 0, built without Fraction's gcd; the
     # private constructor keyword differs across Python versions.
@@ -163,9 +146,8 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    parts = _alpha_parts(p)
-    foot = _integral_quotient_at_left_end(p)
-    alpha_pair = (p.alpha.numerator, p.alpha.denominator) if parts[0] == "rat" else None
+    aa, ab, ac, ad = _surd_parts(p.alpha)
+    left_end = p.left_end_quotient is not None
 
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
@@ -174,8 +156,9 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     seen = {(t, s): 0}
 
     for n in range(1, budget + 1):
-        d = _digit_of_fraction(t, s, p, parts)
-        if foot is not None and (t, s) == alpha_pair:
+        # floor(N*s/t - alpha) on the reduced fraction t/s, integer-only
+        d = _floor_linear_surd(p.N * s * ac - aa * t, -ab * t, ad, t * ac)
+        if left_end and (t, s) == (aa, ac):
             d -= 1
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")

@@ -14,8 +14,8 @@ from nacf.expansion import Params, alpha_max
 
 def approx_bounds(x, bits=128):
     """A Fraction interval [lo, hi] containing x, of width 1/(c*2^bits)."""
-    if isinstance(x, Fraction):
-        return x, x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(x)
     scale = 1 << bits
     r = math.isqrt(x.d * x.b * x.b * scale * scale)
     lo_num = x.a * scale + (r if x.b > 0 else -r - 1)

@@ -1,14 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import interval_compare, random_exact, random_surd
+from conftest import approx_bounds, interval_compare, random_exact, random_surd
 from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
-                        solve_quadratic, surd)
+                        solve_quadratic, surd, _square_free_split)
 
 
 def test_integer_sqrt_examples():
@@ -36,6 +37,10 @@ def test_surd_normalization():
     assert surd(3, 0, 5) == Fraction(3)                # b = 0
     assert surd(-4, 2, 40, 2) == surd(-2, 2, 10, 1)    # gcd and square pull
     assert surd(1, 1, 2, -1) == surd(-1, -1, 2, 1)     # sign of c
+    # trial division continues past the prime sieve (primes below 2^16)
+    assert surd(0, 1, 3 * 65537 ** 2) == surd(0, 65537, 3)
+    assert surd(0, 1, 65539 * 65543).d == 65539 * 65543  # two primes past it
+    assert _square_free_split.cache_info().maxsize is not None
 
 
 def test_normalization_idempotent():
@@ -107,6 +112,9 @@ def test_floor_property():
         n = floor_exact(x)
         assert compare_exact(n, x) <= 0
         assert compare_exact(x, n + 1) < 0
+        # 128 bits keep every integer out of the oracle's interval here
+        lo, hi = approx_bounds(x, bits=128)
+        assert math.floor(lo) == n == math.floor(hi)
 
 
 def test_compare_examples():
@@ -139,6 +147,15 @@ def test_compare_against_interval_oracle():
             assert got == want
         checked += 1
     assert checked == 10_000
+    # int operands, and same-radicand neighbours x and x + 1/q
+    rng = random.Random(55)
+    for _ in range(2_000):
+        x = random_surd(rng)
+        near = x + Fraction(rng.choice((-1, 1)), rng.randint(1, 10 ** 6))
+        k, f = rng.randint(-5, 5), random_exact(rng)
+        for u, v in ((x, near), (x, k), (k, f), (k, rng.randint(-5, 5))):
+            for y, z in ((u, v), (v, u)):
+                assert compare_exact(y, z) == interval_compare(y, z, bits=128)
 
 
 def test_rich_comparisons_on_surds():
@@ -228,6 +245,9 @@ def test_decimal_str():
     assert decimal_str(Fraction(-1, 3), 4) == "-0.3333"
     assert decimal_str(Fraction(2), 0) == "2"
     assert decimal_str(surd(0, 1, 2), 2) == "1.41"
+    assert decimal_str(Fraction(1, 8), 2) == "0.13"      # half-way rounds up
+    assert decimal_str(Fraction(-1, 8), 2) == "-0.12"
+    assert decimal_str(surd(0, -1, 2), 2) == "-1.41"
 
 
 def test_rational_between():
