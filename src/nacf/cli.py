@@ -30,6 +30,7 @@ DEFAULTS = {"budget": 1000, "format": "text", "precision": 10,
             "alpha_min": Fraction(1, 100)}
 BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limit
 VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
+VERIFY_K_MAX = 10_000  # a family check's surd radicands grow like k^2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +106,9 @@ def _cmd_orbit(args, cfg):
         trace = orbit_quadratic(args.x, p, budget)
     else:
         trace = orbit_rational(args.x, p, budget)
-    for record in trace.json_lines():
-        print(json.dumps(record, sort_keys=True))
+    write = sys.stdout.write
+    for line in trace.json_lines():
+        write(line + "\n")
     print(str(trace.verdict))
     return EXIT_OK
 
@@ -197,6 +199,9 @@ def _cmd_verify(args, cfg):
     if len(args.k) > VERIFY_K_VALUES_MAX:
         raise ValueError(f"verify takes at most {VERIFY_K_VALUES_MAX} k values, "
                          f"got {len(args.k)}")
+    k = max(args.k, key=abs)
+    if abs(k) > VERIFY_K_MAX:
+        raise ValueError(f"verify needs |k| <= {VERIFY_K_MAX}, got {k}")
     fams = ["i", "ii", "iii", "iv"] if args.family == "all" else [args.family]
     matrices_only = args.what == "table"
     failed = 0

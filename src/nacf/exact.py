@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
@@ -423,11 +424,22 @@ def parse_exact(text: str) -> ExactNumber:
     raise ValueError(f"not an exact number: {text!r}")
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of an integer of any size.  From Python 3.11 on, str()
+    refuses integers past sys.get_int_max_str_digits() digits; Decimal
+    converts them without a limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_exact(x) -> str:
     """Canonical text form: "p/q" (or bare integer) and "(a+b*sqrt(d))/c"."""
     x = _as_exact(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return f"({x.a}{x.b:+d}*sqrt({x.d}))/{x.c}"
+            return _int_str(x.numerator)
+        return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+    sign = "+" if x.b >= 0 else ""
+    return f"({_int_str(x.a)}{sign}{_int_str(x.b)}*sqrt({_int_str(x.d)}))/{_int_str(x.c)}"

@@ -63,15 +63,10 @@ class Params:
     @cached_property
     def left_end_quotient(self) -> Optional[int]:
         """N/alpha - alpha when it is an integer, else None; the left-end
-        rule of :func:`step` applies exactly when this is not None.
-
-        Only a rational alpha is tested: a surd alpha gets None even where
-        the quotient is an integer (N = 2, alpha = (-5+sqrt(33))/2 gives 5).
-        """
-        if not isinstance(self.alpha, Fraction):
-            return None
+        rule of :func:`step` applies exactly when this is not None.  A surd
+        alpha can qualify too: N = 2, alpha = (-5+sqrt(33))/2 gives 5."""
         e = Fraction(self.N) / self.alpha - self.alpha
-        return e.numerator if e.denominator == 1 else None
+        return e.numerator if isinstance(e, Fraction) and e.denominator == 1 else None
 
     def contains(self, x) -> bool:
         """Membership of x in the closed interval [alpha, alpha+1]."""

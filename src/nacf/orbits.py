@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .exact import (Surd, compare_exact, format_exact, _floor_linear_surd,
-                    _as_exact, _surd_parts)
+                    _as_exact, _int_str, _surd_parts)
 from .expansion import OutOfDomain, Params, all_digits_coprime, step
 
 
@@ -62,10 +62,6 @@ class RationalOrbitState:
     s: int
     value: Fraction
 
-    def to_json(self, digit=None) -> dict:
-        return {"n": self.index, "digit": digit,
-                "value": format_exact(self.value), "t": self.t, "s": self.s}
-
 
 @dataclass(frozen=True, slots=True)
 class QuadCoeffState:
@@ -75,11 +71,6 @@ class QuadCoeffState:
     C: int
     root_sign: int  # which root of A x^2 + B x + C the orbit point is
     value: Surd
-
-    def to_json(self, digit=None) -> dict:
-        return {"n": self.index, "digit": digit,
-                "value": format_exact(self.value),
-                "A": self.A, "B": self.B, "C": self.C}
 
 
 @dataclass(frozen=True)
@@ -113,12 +104,32 @@ class OrbitTrace:
     def values(self) -> list:
         return [st.value for st in self.states]
 
-    def json_lines(self) -> list[dict]:
-        out = []
+    def json_lines(self) -> Iterator[str]:
+        """Each state as one JSON line, byte-identical to ``json.dumps`` of
+        its fields with ``sort_keys=True`` (digit null on the last state).
+
+        Lines are rendered straight from the integers, and each integer is
+        converted to decimal once: the raw s_n is t_{n-1}, a value already in
+        lowest terms is the raw pair again, and A_n is C_{n-1}.
+        """
+        last, text = None, ""  # the previous state's t (or C) and its digits
         for i, st in enumerate(self.states):
-            d = self.digits[i] if i < len(self.digits) else None
-            out.append(st.to_json(d))
-        return out
+            d = self.digits[i] if i < len(self.digits) else "null"
+            if self.kind == "rational":
+                s = text if st.s == last else _int_str(st.s)
+                last, text = st.t, _int_str(st.t)
+                v = st.value
+                if (v.numerator, v.denominator) != (st.t, st.s):
+                    value = format_exact(v)
+                else:
+                    value = text if st.s == 1 else f"{text}/{s}"
+                yield (f'{{"digit": {d}, "n": {st.index}, "s": {s}, "t": {text}, '
+                       f'"value": "{value}"}}')
+            else:
+                a = text if st.A == last else _int_str(st.A)
+                last, text = st.C, _int_str(st.C)
+                yield (f'{{"A": {a}, "B": {_int_str(st.B)}, "C": {text}, "digit": {d}, '
+                       f'"n": {st.index}, "value": "{format_exact(st.value)}"}}')
 
 
 def _lowest_terms(t: int, s: int) -> Fraction:
@@ -147,7 +158,7 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         raise ValueError("budget must be >= 1")
 
     aa, ab, ac, ad = _surd_parts(p.alpha)
-    left_end = p.left_end_quotient is not None
+    left_end = p.left_end_quotient is not None and ab == 0  # a rational alpha
 
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
@@ -189,11 +200,6 @@ def quad_coefficients(x: Surd) -> tuple[int, int, int]:
     return a2 // g, b2 // g, c2 // g
 
 
-def _root_sign(a: int, b: int, x: Surd) -> int:
-    # +1 when x is the (-B + sqrt(disc))/(2A) root after normalising A > 0
-    return compare_exact(x, Fraction(-b, 2 * a)) * (1 if a > 0 else -1)
-
-
 def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     """Orbit of a quadratic irrational via the coefficient recurrence.
 
@@ -213,19 +219,26 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     A, B, C = quad_coefficients(x0)
     disc0 = B * B - 4 * A * C
     x = x0
-    states = [QuadCoeffState(0, A, B, C, _root_sign(A, B, x0), x0)]
+    # the centre -B/(2A) of the primitive triple is x0.a/x0.c and A > 0
+    states = [QuadCoeffState(0, A, B, C, 1 if x0.b > 0 else -1, x0)]
     digits: list[int] = []
     seen = {x0: 0}
 
     for n in range(1, budget + 1):
         d, x = step(x, p)
         A, B, C = C, p.N * B + 2 * d * C, p.N * p.N * A + p.N * B * d + C * d * d
-        if A * x * x + B * x + C != 0:
+        # for x = (a + b*sqrt(r))/c with b != 0, c^2 (A x^2 + B x + C) is
+        # A(a^2 + b^2 r) + B a c + C c^2 + b (2 A a + B c) sqrt(r), which
+        # vanishes exactly when both parts do
+        a, b, c, r = x.a, x.b, x.c, x.d
+        if 2 * A * a + B * c != 0 or A * (a * a + b * b * r) + B * a * c + C * c * c != 0:
             raise InvariantViolation("coefficient triple lost the orbit point")
         if B * B - 4 * A * C != p.N ** (2 * n) * disc0:
             raise InvariantViolation("discriminant law failed")
         digits.append(d)
-        states.append(QuadCoeffState(n, A, B, C, _root_sign(A, B, x), x))
+        # the first identity puts the centre -B/(2A) at a/c, so x lies on
+        # the side of it that b gives, and the sign of A orients the roots
+        states.append(QuadCoeffState(n, A, B, C, 1 if (b > 0) == (A > 0) else -1, x))
         if x in seen:
             verdict = Verdict(PERIODIC, seen[x], n - seen[x])
             return OrbitTrace("quadratic", p, tuple(digits), tuple(states), verdict)

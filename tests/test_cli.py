@@ -1,7 +1,13 @@
 import json
+import random
+from decimal import Decimal
+from fractions import Fraction
 
+from conftest import random_params, random_rational_in, random_surd_in
 from nacf.cli import main
-from nacf.exact import parse_exact, surd
+from nacf.exact import format_exact, parse_exact, surd
+from nacf.expansion import Params
+from nacf.orbits import orbit_quadratic, orbit_rational
 
 
 def run(capsys, *argv):
@@ -46,6 +52,45 @@ def test_orbit_quadratic_trace(capsys):
     rows = [json.loads(line) for line in lines[:-1]]
     assert rows[0]["A"] == 1 and rows[0]["C"] == -2
     assert (rows[1]["A"], rows[1]["B"], rows[1]["C"]) == (-2, -4, 2)
+
+
+def test_orbit_lines_are_sorted_json_of_the_trace(capsys):
+    rng = random.Random(43)
+    for _ in range(40):
+        p = random_params(rng, rng.randint(2, 12))
+        quadratic = rng.random() < 0.5
+        x = random_surd_in(p, rng) if quadratic else random_rational_in(p, rng)
+        budget = rng.randint(1, 80)
+        trace = (orbit_quadratic if quadratic else orbit_rational)(x, p, budget)
+        code, out, err = run(capsys, "orbit", "--x", format_exact(x), "--N", str(p.N),
+                             "--alpha", format_exact(p.alpha), "--budget", str(budget))
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert len(lines) == len(trace.states) + 1 and lines[-1] == str(trace.verdict)
+        for i, (line, st) in enumerate(zip(lines, trace.states)):
+            row = json.loads(line)
+            assert line == json.dumps(row, sort_keys=True)
+            assert row["n"] == st.index == i
+            assert row["digit"] == (trace.digits[i] if i < len(trace.digits) else None)
+            assert parse_exact(row["value"]) == st.value
+            if quadratic:
+                assert (row["A"], row["B"], row["C"]) == (st.A, st.B, st.C)
+            else:
+                assert (row["t"], row["s"]) == (st.t, st.s)
+
+
+def test_orbit_prints_integers_past_the_str_digit_limit(capsys):
+    # raw numerators pass 4300 digits, where str() of an int stops on 3.11+
+    args = ("--x", "1999/2", "--N", "1000003", "--alpha", "999", "--budget", "1500")
+    code, out, err = run(capsys, "orbit", *args)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    trace = orbit_rational(Fraction(1999, 2), Params(1000003, Fraction(999)), 1500)
+    assert len(lines) == len(trace.states) + 1 == 1502
+    assert lines[-1] == "NoPeriodWithinBudget"
+    t_text = lines[-2].split('"t": ', 1)[1].split(",", 1)[0]
+    assert len(t_text) > 4300
+    assert Decimal(t_text) == Decimal(trace.states[-1].t)
 
 
 def test_match_reports_stable_exponents(capsys):
@@ -198,6 +243,16 @@ def test_verify_bounds_the_k_range(capsys):
     assert err == "error: verify takes at most 1000 k values, got 100001\n"
     code, out, _ = run(capsys, "verify", "--table", "--family", "i", "--k", "1..1000")
     assert code == 0 and out == "family i: 1000/1000 pass\n"
+
+
+def test_verify_bounds_the_size_of_k(capsys):
+    for k, shown in (("10001", "10001"), ("--k=-20000", "-20000"), ("9990..10001", "10001")):
+        argv = ("verify", k) if k.startswith("--") else ("verify", "--k", k)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: verify needs |k| <= 10000, got {shown}\n"
+    code, out, _ = run(capsys, "verify", "--table", "--family", "i", "--k", "10000")
+    assert code == 0 and out == "family i: 1/1 pass\n"
 
 
 def test_domain_errors_exit_two(capsys):

@@ -64,6 +64,17 @@ def test_digit_left_endpoint_adjustment():
     assert step(Fraction(5, 6), q)[1] == q.alpha
 
 
+def test_left_endpoint_adjustment_for_a_surd_alpha():
+    # alpha = (-5+sqrt(33))/2 solves alpha^2 + 5 alpha = 2, so N/alpha - alpha
+    # is the integer 5 although alpha is irrational
+    alpha = surd(-5, 1, 33, 2)
+    p = Params(2, alpha)
+    assert p.left_end_quotient == 5
+    assert step(alpha, p) == (4, alpha + 1)
+    assert expand(alpha, p, 3).prefix[0] == 4
+    assert Params(2, surd(-1, 1, 2, 2)).left_end_quotient is None
+
+
 def test_digit_across_two_radicands():
     # x and alpha over different radicands: N/x - alpha is no surd, so the
     # floor is checked against 128-bit rational bounds of both terms

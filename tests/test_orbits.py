@@ -6,8 +6,9 @@ import pytest
 
 from conftest import random_params, random_rational_in, random_surd_in
 from nacf.exact import compare_exact, surd
+from nacf import orbits
 from nacf.expansion import OutOfDomain, Params, expand, step, xi
-from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE,
+from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE, InvariantViolation,
                          discriminant_check, divisibility_diagnostics,
                          nonperiodicity_certificate, orbit_quadratic,
                          orbit_rational, quad_coefficients, reaches_one)
@@ -290,8 +291,39 @@ def test_lasso_reads_follow_the_map():
 
 
 def test_trace_json_lines():
+    # the bytes of json.dumps(fields, sort_keys=True); the last state has no digit
     trace = orbit_rational(Fraction(1), Params(5, Fraction(1, 2)), 5)
-    lines = trace.json_lines()
-    assert lines[0] == {"n": 0, "digit": 4, "value": "1", "t": 1, "s": 1}
+    assert list(trace.json_lines()) == [
+        '{"digit": 4, "n": 0, "s": 1, "t": 1, "value": "1"}',
+        '{"digit": null, "n": 1, "s": 1, "t": 1, "value": "1"}']
+    # the raw pair (2, 2) reduces to the value 1
+    trace = orbit_rational(Fraction(2, 3), Params(2, Fraction(1, 3)), 5)
+    assert list(trace.json_lines()) == [
+        '{"digit": 2, "n": 0, "s": 3, "t": 2, "value": "2/3"}',
+        '{"digit": 1, "n": 1, "s": 2, "t": 2, "value": "1"}',
+        '{"digit": null, "n": 2, "s": 2, "t": 2, "value": "1"}']
     qtrace = orbit_quadratic(surd(0, 1, 2), Params(2, surd(-1, 1, 2)), 3)
-    assert {"A", "B", "C", "digit", "n", "value"} == set(qtrace.json_lines()[0])
+    assert list(qtrace.json_lines()) == [
+        '{"A": 1, "B": 0, "C": -2, "digit": 1, "n": 0, "value": "(0+1*sqrt(2))/1"}',
+        '{"A": -2, "B": -4, "C": 2, "digit": 4, "n": 1, "value": "(-1+1*sqrt(2))/1"}',
+        '{"A": 2, "B": 8, "C": -8, "digit": 2, "n": 2, "value": "(-2+2*sqrt(2))/1"}',
+        '{"A": -8, "B": -16, "C": 8, "digit": null, "n": 3, "value": "(-1+1*sqrt(2))/1"}']
+
+
+@pytest.mark.parametrize("moved", [
+    lambda x: x + 1,                       # breaks 2*A*a + B*c = 0
+    lambda x: surd(x.a, 2 * x.b, x.d, x.c),  # keeps it, breaks the rational part
+], ids=["shifted", "surd-part-doubled"])
+def test_quadratic_check_catches_a_lost_point(monkeypatch, moved):
+    real_step = orbits.step
+
+    def lost_step(x, p):
+        d, nxt = real_step(x, p)
+        return d, moved(nxt)
+
+    monkeypatch.setattr(orbits, "step", lost_step)
+    rng = random.Random(31)
+    for _ in range(5):
+        p = random_params(rng)
+        with pytest.raises(InvariantViolation, match="coefficient triple lost the orbit point"):
+            orbit_quadratic(random_surd_in(p, rng), p, 1)
