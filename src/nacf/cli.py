@@ -18,8 +18,8 @@ from .exact import decimal_str, format_exact, parse_exact
 from .expansion import OutOfDomain, Params, expand
 from .matching import (BadRational, MatchReport, MismatchDetected,
                        NoMatchWithinBudget, bad_rational_certificate,
-                       detect_matching, matching_interval,
-                       verify_theorem_intervals)
+                       matching_interval, verify_theorem_intervals,
+                       _match_and_interval)
 from .orbits import InvariantViolation, orbit_quadratic, orbit_rational
 from .paramspace import NotApplicable, emit_kset_plot_data, no_matching_regions
 
@@ -31,6 +31,7 @@ DEFAULTS = {"budget": 1000, "format": "text", "precision": 10,
 BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limit
 VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
 VERIFY_K_MAX = 10_000  # a family check's surd radicands grow like k^2
+EXPAND_N_MAX = 50_000  # the word is held in memory; its digits grow with n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,6 +91,8 @@ def _interval_text(iv, precision):
 
 
 def _cmd_expand(args, cfg):
+    if args.n > EXPAND_N_MAX:
+        raise ValueError(f"expand needs n <= {EXPAND_N_MAX}, got {args.n}")
     p = Params(args.N, args.alpha)
     word = expand(args.x, p, args.n)
     if cfg["format"] == "json":
@@ -115,17 +118,15 @@ def _cmd_orbit(args, cfg):
 
 def _cmd_match(args, cfg):
     budget = args.budget or cfg["budget"]
-    report = detect_matching(args.alpha, args.N, budget)
+    report, mi = _match_and_interval(args.alpha, args.N, budget, min(budget, 64))
     out = report.to_json()
     out["certificates"] = []
-    if isinstance(report, MatchReport) and args.N == 2:
-        try:
-            mi = matching_interval(args.alpha, 2, budget=min(budget, 64))
-            out["stable_exponents"] = [mi.K, mi.L]
-            out["interval"] = mi.interval.to_json()
-            out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
-        except BadRational:
-            out["stable_exponents"] = None
+    if isinstance(mi, BadRational):
+        out["stable_exponents"] = None
+    elif mi is not None:
+        out["stable_exponents"] = [mi.K, mi.L]
+        out["interval"] = mi.interval.to_json()
+        out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
     elif isinstance(report, NoMatchWithinBudget) and report.obstruction is not None:
         out["certificates"].append(report.obstruction.to_json())
     _emit(out, cfg["format"], cfg["precision"])

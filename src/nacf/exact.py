@@ -42,11 +42,12 @@ def integer_sqrt(n: int) -> int:
 _PRIME_LIMIT = 1 << 16
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _PRIME_LIMIT
+@lru_cache(maxsize=None)
+def _small_primes(bound: int) -> tuple[int, ...]:
+    """The primes below ``bound``; at most 15 bounds (powers of two) occur."""
+    sieve = bytearray([1]) * bound
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(_PRIME_LIMIT) + 1):
+    for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
@@ -57,10 +58,12 @@ _SPLIT_CACHE_SIZE = 4096
 
 @lru_cache(maxsize=_SPLIT_CACHE_SIZE)
 def _square_free_split(n: int) -> tuple[int, int]:
-    # n = s*s*f with f squarefree.  Trial division over a fixed prime sieve,
-    # continued with odd candidates in the (rare) case of huge radicands.
+    # n = s*s*f with f squarefree.  Trial division over primes sieved below
+    # the power of two past isqrt(n) (capped at 2^16), continued with odd
+    # candidates in the (rare) case of huge radicands.
+    bound = min(1 << max(2, math.isqrt(n).bit_length()), _PRIME_LIMIT)
     s, f = 1, 1
-    for p in chain(_small_primes(), count(_PRIME_LIMIT + 1, 2)):
+    for p in chain(_small_primes(bound), count(bound + 1, 2)):
         if p * p > n:
             break
         if n % p == 0:
@@ -412,16 +415,25 @@ def parse_exact(text: str) -> ExactNumber:
     m = _RATIONAL_RE.match(text)
     if m:
         num, den = m.group(1), m.group(2)
-        return Fraction(int(num), int(den) if den else 1)
+        return Fraction(_int(num), _int(den) if den else 1)
     m = _SURD_RE.match(text)
     if m:
         a, sgn, b, d, c = m.groups()
-        b = int(b) if sgn == "+" else -int(b)
-        return surd(int(a), b, int(d), int(c))
+        b = _int(b) if sgn == "+" else -_int(b)
+        return surd(_int(a), b, _int(d), _int(c))
     m = _SQRT_RE.match(text)
     if m:
-        return surd(0, 1, int(m.group(1)))
+        return surd(0, 1, _int(m.group(1)))
     raise ValueError(f"not an exact number: {text!r}")
+
+
+def _int(digits: str) -> int:
+    """The integer of a decimal digit string of any length; the inverse of
+    :func:`_int_str`."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def _int_str(n: int) -> str:

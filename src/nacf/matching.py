@@ -279,13 +279,34 @@ def detect_matching(alpha, n: int, budget: int = 500
     without iterating either orbit.  A miss within the budget carries no
     certificate.
     """
+    return _match_and_interval(alpha, n, budget)[0]
+
+
+def _match_and_interval(alpha, n: int, budget: int,
+                        interval_budget: Optional[int] = None):
+    """``detect_matching(alpha, n, budget)`` and, for an N = 2 match when
+    ``interval_budget`` (at most ``budget``) is given, ``matching_interval(
+    alpha, 2, interval_budget)`` or the BadRational it raises (else None).
+
+    Both read one build of the endpoint orbits, over ``budget`` steps.  A
+    build longer than ``interval_budget`` finds the same first matched pair
+    whenever it lies within ``interval_budget``, and any stable head it adds
+    lies beyond that budget and is dropped; it can only settle more
+    BadRational cases as ``proved``."""
     p = _rational_params(alpha, n)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     obs = no_matching_obstruction(p.alpha, n)
     if obs.holds:
-        return NoMatchWithinBudget(p.alpha, n, budget, obs)
-    return _detect_matching(_EndpointOrbits(p.alpha, n, budget), budget)
+        return NoMatchWithinBudget(p.alpha, n, budget, obs), None
+    orbits = _EndpointOrbits(p.alpha, n, budget)
+    report = _detect_matching(orbits, budget)
+    if interval_budget is None or n != 2 or not isinstance(report, MatchReport):
+        return report, None
+    try:
+        return report, _matching_interval(orbits, interval_budget)
+    except BadRational as exc:
+        return report, exc
 
 
 def _detect_matching(orbits: _EndpointOrbits, budget: int

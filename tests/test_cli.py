@@ -25,6 +25,17 @@ def test_expand_examples(capsys):
     assert code == 0 and out.strip() == "[0; 4, 3, 4, 3]"
 
 
+def test_expand_bounds_n(capsys):
+    code, out, _ = run(capsys, "expand", "--x", "1/3", "--N", "2", "--alpha", "1/3",
+                       "--n", "50000")
+    assert code == 0 and out.startswith("[0; ")
+    for n in ("50001", "100000000"):
+        code, out, err = run(capsys, "expand", "--x", "1/3", "--N", "2", "--alpha", "1/3",
+                             "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: expand needs n <= 50000, got {n}\n"
+
+
 def test_expand_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "expand",
                        "--x", "2/9", "--N", "2", "--alpha", "2/9", "--n", "2")
@@ -91,6 +102,32 @@ def test_orbit_prints_integers_past_the_str_digit_limit(capsys):
     t_text = lines[-2].split('"t": ', 1)[1].split(",", 1)[0]
     assert len(t_text) > 4300
     assert Decimal(t_text) == Decimal(trace.states[-1].t)
+
+
+def test_orbit_reads_integers_past_the_str_digit_limit(capsys):
+    # int() refuses decimal strings past 4300 digits on 3.11+
+    num, den = "1" + "0" * 4399, "9" * 4399           # x = 1 + 1/(10^4399 - 1)
+    code, out, err = run(capsys, "orbit", "--x", f"{num}/{den}",
+                         "--N", "2", "--alpha", "1/3", "--budget", "3")
+    assert (code, err) == (0, "")
+    x = Fraction(int(Decimal(num)), int(Decimal(den)))
+    trace = orbit_rational(x, Params(2, Fraction(1, 3)), 3)
+    assert out.splitlines() == [*trace.json_lines(), str(trace.verdict)]
+    assert f'"t": {num},' in out.splitlines()[0]
+
+
+def test_match_builds_the_endpoint_orbits_once(capsys, monkeypatch):
+    import nacf.matching as matching
+    starts = []
+
+    def counted(x, p, budget=1000):
+        starts.append(x)
+        return orbit_rational(x, p, budget)
+
+    monkeypatch.setattr(matching, "orbit_rational", counted)
+    code, out, _ = run(capsys, "--format", "json", "match", "--alpha", "2/9", "--N", "2")
+    assert code == 0 and json.loads(out)["stable_exponents"] == [3, 5]
+    assert starts == [Fraction(2, 9), Fraction(11, 9)]
 
 
 def test_match_reports_stable_exponents(capsys):

@@ -9,7 +9,8 @@ from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
-                        solve_quadratic, surd, _square_free_split)
+                        solve_quadratic, surd, _small_primes,
+                        _square_free_split)
 
 
 def test_integer_sqrt_examples():
@@ -41,6 +42,32 @@ def test_surd_normalization():
     assert surd(0, 1, 3 * 65537 ** 2) == surd(0, 65537, 3)
     assert surd(0, 1, 65539 * 65543).d == 65539 * 65543  # two primes past it
     assert _square_free_split.cache_info().maxsize is not None
+
+
+def test_small_primes_match_trial_division():
+    for k in range(2, 17):
+        bound = 1 << k
+        brute = [p for p in range(2, bound)
+                 if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert list(_small_primes(bound)) == brute
+
+
+# primes on both sides of the power-of-two sieve bounds, 2^16 included
+_EDGE_PRIMES = (3, 5, 7, 17, 251, 257, 65521, 65537, 65539)
+
+
+def test_square_free_split_at_the_sieve_edges():
+    for p in _EDGE_PRIMES:
+        assert _square_free_split(p) == (1, p)
+        assert _square_free_split(p * p) == (p, 1)
+    rng = random.Random(11)
+    for _ in range(300):
+        primes = rng.sample(_EDGE_PRIMES, rng.randint(1, 3))
+        exps = [rng.randint(1, 5) for _ in primes]
+        n = math.prod(p ** e for p, e in zip(primes, exps))
+        s = math.prod(p ** (e // 2) for p, e in zip(primes, exps))
+        f = math.prod(p ** (e % 2) for p, e in zip(primes, exps))
+        assert _square_free_split(n) == (s, f)
 
 
 def test_normalization_idempotent():
