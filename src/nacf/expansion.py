@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, format_exact, solve_mobius_fixed_point, surd,
-                    _as_exact)
+                    _as_exact, _floor_linear_surd, _sign3, _surd_parts)
 
 
 class OutOfDomain(ValueError):
@@ -59,6 +59,11 @@ class Params:
     @cached_property
     def upper(self) -> ExactNumber:
         return self.alpha + 1
+
+    @cached_property
+    def alpha_parts(self) -> tuple[int, int, int, int]:
+        """The integer view (a, b, c, d) of alpha, read once per parameter."""
+        return _surd_parts(self.alpha)
 
     @cached_property
     def left_end_quotient(self) -> Optional[int]:
@@ -259,24 +264,36 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
     endpoint a private digit; it is lowered by one there so that the point
     maps to alpha + 1 instead.  Interior points with an integral quotient
     keep the plain floor (which already maps them back into the interval).
-    When x and alpha are surds over different radicands, N/x - alpha is
-    not a surd; its floor is floor(N/x) - floor(alpha) or one less, and an
-    exact comparison of N/x - (d+1) with alpha decides which.
+
+    The map works on the integer view: for x = (a + b*sqrt(r))/c the
+    quotient N/x is N*c*(a - b*sqrt(r))/(a^2 - b^2 r), whose floor against
+    alpha is one call of the floor kernel, and the result is built by one
+    constructor call.  When x and alpha are surds over different radicands,
+    N/x - alpha is not a surd; its floor is floor(N/x) - floor(alpha) or
+    one less, and an exact sign of N/x - (d+1) - alpha decides which.
     """
     x = _as_exact(x)
     if not p.contains(x):
         raise OutOfDomain(f"{format_exact(x)} outside [alpha, alpha+1]")
-    quotient = Fraction(p.N) / x
-    if isinstance(quotient, Surd) and isinstance(p.alpha, Surd) \
-            and quotient.d != p.alpha.d:
-        d = floor_exact(quotient) - floor_exact(p.alpha) - 1
-        while compare_exact(quotient - (d + 1), p.alpha) >= 0:
-            d += 1
+    a, b, c, r = _surd_parts(x)
+    aa, ab, ac, ad = p.alpha_parts
+    if b == 0:
+        qa, qb, qc, r = p.N * c, 0, a, ad  # N/x = N*c/a with a > 0 on the domain
     else:
-        d = floor_exact(quotient - p.alpha)
+        qa, qb, qc = p.N * c * a, -p.N * c * b, a * a - b * b * r
+        if qc < 0:
+            qa, qb, qc = -qa, -qb, -qc
+    if ab == 0 or ad == r:
+        d = _floor_linear_surd(qa * ac - aa * qc, qb * ac - ab * qc, r, qc * ac)
+    else:
+        d = _floor_linear_surd(qa, qb, r, qc) - floor_exact(p.alpha) - 1
+        while _sign3((qa - (d + 1) * qc) * ac - aa * qc, qb * ac, r, -ab * qc, ad) >= 0:
+            d += 1
     if x == p.alpha and p.left_end_quotient is not None:
         d -= 1
-    return d, quotient - d
+    if b == 0:
+        return d, Fraction(qa - d * qc, qc)
+    return d, surd(qa - d * qc, qb, r, qc)
 
 
 def digit_stream(x, p: Params) -> Iterator[int]:
@@ -317,10 +334,11 @@ def convergents(w, n: int) -> list[tuple[int, int, Mobius]]:
     p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.  det(M_i) = (-N)^i is checked.
     """
     digits = w.prefix if isinstance(w, DigitWord) else tuple(w)
-    m, out = IDENTITY, []
-    for i, dg in enumerate(digits, 1):
+    m, det, out = IDENTITY, 1, []
+    for dg in digits:
         m = m @ Mobius.branch(n, dg)
-        if m.det() != (-n) ** i:
+        det *= -n  # (-N)^i, kept running
+        if m.det() != det:
             raise RuntimeError("determinant law violated in convergent recurrence")
         out.append((m.b, m.d, m))
     return out

@@ -6,6 +6,11 @@ t' = N*s - d*t, s' = t that the divisibility arguments reason about.
 The same divisibility fact keeps the reduction cheap: for t/s in lowest
 terms, gcd(N*s - d*t, t) = gcd(N*s, t) = gcd(N, t), so each step divides
 by a gcd taken with N instead of one between two growing numerators.
+It also ties the two tracks together: the raw pair is cof times the
+reduced pair, with cof = prod gcd(N, t_k) over the steps so far.  That
+identity implies the cross-multiplication rt*s = t*rs, and checking it
+costs two big-by-small products once the orbit turns coprime with N,
+where every later gcd is 1.
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
 """
@@ -18,7 +23,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .exact import (Surd, compare_exact, format_exact, _floor_linear_surd,
-                    _as_exact, _int_str, _surd_parts)
+                    _as_exact, _int_str)
 from .expansion import OutOfDomain, Params, all_digits_coprime, step
 
 
@@ -144,7 +149,8 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     """Orbit of a rational point, with cycle detection on reduced values.
 
     Raw (t, s) follow the recurrence t' = N*s - d*t, s' = t from the same
-    digits; states record the raw pair and the reduced value.  The verdict
+    digits, and are checked at every step to be cof times the reduced pair;
+    states record the raw pair and the reduced value.  The verdict
     reports (pre-period, period) of the first repeated reduced value, a
     special kind when the detected cycle is the fixed point 1, or budget
     exhaustion.
@@ -157,11 +163,12 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    aa, ab, ac, ad = _surd_parts(p.alpha)
+    aa, ab, ac, ad = p.alpha_parts
     left_end = p.left_end_quotient is not None and ab == 0  # a rational alpha
 
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
+    cof = 1                                 # raw = cof * reduced
     states = [RationalOrbitState(0, rt, rs, Fraction(x))]
     digits: list[int] = []
     seen = {(t, s): 0}
@@ -176,7 +183,8 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         rt, rs = p.N * rs - d * rt, rt
         g = math.gcd(p.N, t)
         t, s = (p.N * s - d * t) // g, t // g
-        if rt * s != t * rs:
+        cof *= g
+        if rt != cof * t or rs != cof * s:
             raise InvariantViolation("raw recurrence disagrees with reduced value")
         digits.append(d)
         states.append(RationalOrbitState(n, rt, rs, _lowest_terms(t, s)))
@@ -218,6 +226,7 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
 
     A, B, C = quad_coefficients(x0)
     disc0 = B * B - 4 * A * C
+    nn, scale = p.N * p.N, 1  # scale = N^(2n), kept running
     x = x0
     # the centre -B/(2A) of the primitive triple is x0.a/x0.c and A > 0
     states = [QuadCoeffState(0, A, B, C, 1 if x0.b > 0 else -1, x0)]
@@ -226,14 +235,15 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
 
     for n in range(1, budget + 1):
         d, x = step(x, p)
-        A, B, C = C, p.N * B + 2 * d * C, p.N * p.N * A + p.N * B * d + C * d * d
+        A, B, C = C, p.N * B + 2 * d * C, nn * A + p.N * B * d + C * d * d
         # for x = (a + b*sqrt(r))/c with b != 0, c^2 (A x^2 + B x + C) is
         # A(a^2 + b^2 r) + B a c + C c^2 + b (2 A a + B c) sqrt(r), which
         # vanishes exactly when both parts do
         a, b, c, r = x.a, x.b, x.c, x.d
         if 2 * A * a + B * c != 0 or A * (a * a + b * b * r) + B * a * c + C * c * c != 0:
             raise InvariantViolation("coefficient triple lost the orbit point")
-        if B * B - 4 * A * C != p.N ** (2 * n) * disc0:
+        scale *= nn
+        if B * B - 4 * A * C != scale * disc0:
             raise InvariantViolation("discriminant law failed")
         digits.append(d)
         # the first identity puts the centre -B/(2A) at a/c, so x lies on
@@ -253,9 +263,12 @@ def discriminant_check(trace: OrbitTrace) -> bool:
         raise ValueError("discriminant check applies to quadratic traces")
     st0 = trace.states[0]
     disc0 = st0.B * st0.B - 4 * st0.A * st0.C
-    n = trace.params.N
-    return all(st.B * st.B - 4 * st.A * st.C == n ** (2 * st.index) * disc0
-               for st in trace.states)
+    nn, scale = trace.params.N ** 2, 1  # scale = N^(2 index), kept running
+    for st in trace.states:
+        if st.B * st.B - 4 * st.A * st.C != scale * disc0:
+            return False
+        scale *= nn
+    return True
 
 
 def reaches_one(x, p: Params, budget: int = 1000) -> bool:

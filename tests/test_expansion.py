@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (approx_bounds, brute_digits, random_params,
                       random_rational_in, random_surd_in)
-from nacf.exact import Surd, compare_exact, surd
+from nacf.exact import Surd, compare_exact, floor_exact, surd
 from nacf.expansion import (ADD_ONE, DigitWord, Mobius, NoValidTail,
                             OutOfDomain, Params, Undecidable,
                             all_digits_coprime, alpha_max,
@@ -117,6 +119,72 @@ def test_step_examples():
     root2 = surd(0, 1, 2)
     d, nxt = step(root2, Params(2, root2 - 1))
     assert (d, nxt) == (1, root2 - 1)
+
+
+@st.composite
+def _step_inputs(draw):
+    """(x, Params) over the pairings step treats apart: alpha rational, a
+    surd, or a cut point alpha^2 + m*alpha = N of the left-end rule; x
+    alpha itself, in alpha's field, rational, or a surd over a radicand
+    other than alpha's."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(("rational", "surd", "cut")))
+    if kind == "cut":
+        m = draw(st.integers(1, 4 * n))
+        alpha = surd(-m, 1, m * m + 4 * n, 2)
+    else:
+        q = draw(st.integers(1, 60))
+        alpha = Fraction(draw(st.integers(0, 2 * q)), q)
+        if kind == "surd":
+            r = draw(st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13)))
+            alpha += surd(-math.isqrt(r), 1, r, draw(st.integers(1, 60)))
+    assume(compare_exact(alpha, 0) > 0 and compare_exact(alpha, alpha_max(n)) <= 0)
+    p = Params(n, alpha)
+    where = draw(st.sampled_from(("alpha", "field", "rational", "other")))
+    m = draw(st.integers(1, 60))
+    if where == "alpha":
+        x = alpha
+    elif where == "field":
+        x = alpha + Fraction(draw(st.integers(0, m)), m)
+    else:
+        x = Fraction(floor_exact(alpha * m) + draw(st.integers(1, m)), m)
+        if where == "other":
+            r = draw(st.sampled_from([r for r in (2, 3, 5, 6, 7, 10, 11, 13)
+                                      if not isinstance(alpha, Surd) or r != alpha.d]))
+            x -= surd(-math.isqrt(r), 1, r, draw(st.integers(1, 60)))
+    assume(p.contains(x))
+    return x, p
+
+
+def _step_by_definition(x, p):
+    """(d, N/x - d) with d the largest integer for which N/x - d >= alpha,
+    found by exact comparisons alone and lowered by one at x = alpha when
+    N/alpha - alpha is an integer."""
+    quotient = Fraction(p.N) / x
+    def fits(d):
+        return compare_exact(quotient - d, p.alpha) >= 0
+    lo, hi = 0, 1  # N/x >= sqrt(N) > alpha on the domain, so fits(0)
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    e = Fraction(p.N) / p.alpha - p.alpha
+    if compare_exact(x, p.alpha) == 0 and isinstance(e, Fraction) and e.denominator == 1:
+        lo -= 1
+    return lo, quotient - lo
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_step_inputs())
+@example((surd(-5, 1, 33, 2), Params(2, surd(-5, 1, 33, 2))))   # surd cut point
+@example((Fraction(1), Params(5, Fraction(1))))                  # rational cut point
+@example((surd(-1, 1, 3), Params(3, surd(-1, 1, 2, 2))))        # two radicands
+@example((surd(-1, 1, 5, 2), Params(2, Fraction(2, 5))))        # surd x, rational alpha
+def test_step_matches_its_definition(case):
+    x, p = case
+    assert step(x, p) == _step_by_definition(x, p)
 
 
 def test_step_stays_in_interval():

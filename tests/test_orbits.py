@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,11 +60,28 @@ def test_raw_state_recurrence():
         p = random_params(rng)
         x = random_rational_in(p, rng)
         trace = orbit_rational(x, p, 40)
+        cof = 1  # raw pair = cof * reduced pair, each step scaling cof by a divisor of N
+        assert (trace.states[0].t, trace.states[0].s) == (x.numerator, x.denominator)
         for i, d in enumerate(trace.digits):
             cur, nxt = trace.states[i], trace.states[i + 1]
             assert nxt.t == p.N * cur.s - d * cur.t
             assert nxt.s == cur.t
             assert Fraction(nxt.t, nxt.s) == nxt.value
+            nxt_cof = nxt.s // nxt.value.denominator
+            assert (nxt.t, nxt.s) == (nxt_cof * nxt.value.numerator,
+                                      nxt_cof * nxt.value.denominator)
+            assert nxt_cof % cof == 0 and p.N % (nxt_cof // cof) == 0
+            cof = nxt_cof
+
+
+def test_rational_check_catches_a_lost_factor(monkeypatch):
+    # a step that divides by 2 where gcd(N, t) is 1 loses a factor of the
+    # reduced pair: here N*s - d*t = 5*5 - 2*7 = 11 is odd at the first step
+    p, x = Params(5, Fraction(6, 5)), Fraction(7, 5)
+    assert orbit_rational(x, p, 40).digits[0] == 2
+    monkeypatch.setattr(orbits, "math", SimpleNamespace(gcd=lambda *args: 2))
+    with pytest.raises(InvariantViolation, match="raw recurrence disagrees with reduced value"):
+        orbit_rational(x, p, 40)
 
 
 def test_raw_numerators_increase_above_one():
