@@ -316,6 +316,8 @@ def _floor_linear_surd(p: int, q: int, d: int, e: int) -> int:
     """floor((p + q*sqrt(d))/e) with e > 0; sqrt(d) irrational when q != 0."""
     if q == 0:
         return p // e
+    if e <= 0:
+        raise ValueError("floor kernel needs a positive denominator")
     r = math.isqrt(q * q * d)
     f = r if q > 0 else -r - 1  # floor(q*sqrt(d)); strict, value irrational
     n = (p + f) // e

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, format_exact, solve_mobius_fixed_point, surd,
@@ -120,10 +120,19 @@ IDENTITY = Mobius(1, 0, 0, 1)
 ADD_ONE = Mobius(1, 1, 0, 1)  # acts as x -> x + 1
 
 
-def branch_product(n: int, digits: Sequence[int]) -> Mobius:
+def _running_products(n: int, digits: Iterable[int]) -> Iterator[Mobius]:
+    """The running products M_i = M_{i-1} * branch(N, d_i) from M_0 = I, as
+    M_1, M_2, ...: the one place that appends a digit to a product."""
     m = IDENTITY
     for d in digits:
         m = m @ Mobius.branch(n, d)
+        yield m
+
+
+def branch_product(n: int, digits: Sequence[int]) -> Mobius:
+    m = IDENTITY
+    for m in _running_products(n, digits):
+        pass
     return m
 
 
@@ -266,23 +275,23 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
     keep the plain floor (which already maps them back into the interval).
 
     The map works on the integer view: for x = (a + b*sqrt(r))/c the
-    quotient N/x is N*c*(a - b*sqrt(r))/(a^2 - b^2 r), whose floor against
-    alpha is one call of the floor kernel, and the result is built by one
-    constructor call.  When x and alpha are surds over different radicands,
-    N/x - alpha is not a surd; its floor is floor(N/x) - floor(alpha) or
-    one less, and an exact sign of N/x - (d+1) - alpha decides which.
+    quotient N/x is N*c*(a - b*sqrt(r))/(a^2 - b^2 r); one floor-kernel call
+    (for a rational x, the digit kernel rational orbits share) takes its
+    floor against alpha, and one constructor call builds the result.  Over
+    two radicands N/x - alpha is no surd: its floor, floor(N/x) - floor(alpha)
+    or one less, is decided by an exact sign of N/x - (d+1) - alpha.
     """
     x = _as_exact(x)
     if not p.contains(x):
         raise OutOfDomain(f"{format_exact(x)} outside [alpha, alpha+1]")
     a, b, c, r = _surd_parts(x)
-    aa, ab, ac, ad = p.alpha_parts
     if b == 0:
-        qa, qb, qc, r = p.N * c, 0, a, ad  # N/x = N*c/a with a > 0 on the domain
-    else:
-        qa, qb, qc = p.N * c * a, -p.N * c * b, a * a - b * b * r
-        if qc < 0:
-            qa, qb, qc = -qa, -qb, -qc
+        d = _rational_digit(p, a, c)  # N/x = N*c/a with a > 0 on the domain
+        return d, Fraction(p.N * c - d * a, a)
+    aa, ab, ac, ad = p.alpha_parts
+    qa, qb, qc = p.N * c * a, -p.N * c * b, a * a - b * b * r
+    if qc < 0:
+        qa, qb, qc = -qa, -qb, -qc
     if ab == 0 or ad == r:
         d = _floor_linear_surd(qa * ac - aa * qc, qb * ac - ab * qc, r, qc * ac)
     else:
@@ -291,9 +300,18 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
             d += 1
     if x == p.alpha and p.left_end_quotient is not None:
         d -= 1
-    if b == 0:
-        return d, Fraction(qa - d * qc, qc)
     return d, surd(qa - d * qc, qb, r, qc)
+
+
+def _rational_digit(p: Params, t: int, s: int) -> int:
+    """The digit of the rational point t/s (lowest terms, t, s > 0): the
+    floor of N*s/t - alpha on the integer view of alpha, lowered by one
+    when t/s is alpha and the left-end rule of :func:`step` applies."""
+    aa, ab, ac, ad = p.alpha_parts
+    d = _floor_linear_surd(p.N * s * ac - aa * t, -ab * t, ad, t * ac)
+    if t == aa and s == ac and ab == 0 and p.left_end_quotient is not None:
+        d -= 1
+    return d
 
 
 def digit_stream(x, p: Params) -> Iterator[int]:
@@ -334,9 +352,8 @@ def convergents(w, n: int) -> list[tuple[int, int, Mobius]]:
     p_-1 = 1, p_0 = 0, q_-1 = 0, q_0 = 1.  det(M_i) = (-N)^i is checked.
     """
     digits = w.prefix if isinstance(w, DigitWord) else tuple(w)
-    m, det, out = IDENTITY, 1, []
-    for dg in digits:
-        m = m @ Mobius.branch(n, dg)
+    det, out = 1, []
+    for m in _running_products(n, digits):
         det *= -n  # (-N)^i, kept running
         if m.det() != det:
             raise RuntimeError("determinant law violated in convergent recurrence")

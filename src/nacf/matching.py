@@ -35,17 +35,17 @@ check made for that parameter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
                     rational_between, solve_mobius_fixed_point, surd, _as_exact)
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, digit_set,
-                        projective_equiv)
+                        projective_equiv, _running_products)
 from .orbits import PERIODIC, InvariantViolation, orbit_rational
 
 STABLE = "stable"
@@ -170,28 +170,23 @@ class NoMatchWithinBudget:
 
 class _Orbit:
     """One exact orbit, stored once as an OrbitTrace lasso, plus its prefix
-    matrices M_0 = I, M_k = M_{k-1} * branch(d_k), built on demand up to
+    matrices M_0 = I, M_k = M_{k-1} * branch(d_k), drawn on demand up to
     the largest index asked for."""
 
     def __init__(self, x0, p: Params, count: int):
         self.trace = orbit_rational(x0, p, count)
-        self.n = p.N
         self._matrices = [IDENTITY]
+        self._products = _running_products(p.N, map(self.trace.digit_at, itertools.count()))
 
     def matrix(self, k: int) -> Mobius:
         ms = self._matrices
-        while len(ms) <= k:
-            ms.append(ms[-1] @ Mobius.branch(self.n, self.trace.digit_at(len(ms) - 1)))
+        if len(ms) <= k:
+            ms.extend(itertools.islice(self._products, k + 1 - len(ms)))
         return ms[k]
 
     def head(self, k: int) -> tuple[int, ...]:
         """The digits d_1..d_k."""
         return tuple(map(self.trace.digit_at, range(k)))
-
-    @cached_property
-    def one_at(self) -> Optional[int]:
-        """The first stored index whose value is 1, if any."""
-        return next((i for i, st in enumerate(self.trace.states) if st.value == 1), None)
 
 
 def _rational_params(alpha, n: int) -> Params:
@@ -233,7 +228,7 @@ class _EndpointOrbits:
         if k == 0 or l == 0:  # no digit prefix to pin a cylinder with
             k, l = k + 1, l + 1
         heads = [(k, l)] if self.stability(k, l) == STABLE else []
-        ka, kb = self.a.one_at, self.b.one_at
+        ka, kb = self.a.trace.one_at, self.b.trace.one_at
         if ka is None or kb is None:
             return heads
         y, b1 = ADD_ONE @ self.a.matrix(ka), Mobius.branch(2, 1)
@@ -332,15 +327,15 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     return orbits.stability(k, l)
 
 
-def _level_interval(kind: str, prefix: Mobius, last: int, depth: int,
-                    n: int) -> ParamInterval:
+def _level_interval(kind: str, prefix: Mobius, word: Mobius, last: int,
+                    depth: int, n: int) -> ParamInterval:
     # Boundary equations for the last digit of a prefix of length ``depth``,
-    # given the matrix ``prefix`` of the digits before it: one for the word
-    # with that digit increased, one for the word itself when the digit
-    # exceeds one, or for the word shortened by one with the argument shifted
-    # by one when it equals one (the orbit exits through alpha + 1 there).
-    # A one-digit word ending in 1 has no second equation; the domain edge
-    # binds.  Clamped to (0, sqrt(N)-1].
+    # given the matrices ``prefix`` of the digits before it and ``word`` of
+    # all of them: one for the word with that digit increased, one for the
+    # word itself when the digit exceeds one, or for the word shortened by
+    # one with the argument shifted by one when it equals one (the orbit
+    # exits through alpha + 1 there).  A one-digit word ending in 1 has no
+    # second equation; the domain edge binds.  Clamped to (0, sqrt(N)-1].
     s = 1 if kind == "alpha_plus_one" else 0
 
     def boundary(m: Mobius) -> Optional[ExactNumber]:
@@ -351,7 +346,7 @@ def _level_interval(kind: str, prefix: Mobius, last: int, depth: int,
 
     a1 = boundary(prefix @ Mobius.branch(n, last + 1))
     if last > 1:
-        a2 = boundary(prefix @ Mobius.branch(n, last))
+        a2 = boundary(word)
     elif depth >= 2:
         a2 = boundary(prefix @ ADD_ONE)
     else:
@@ -382,10 +377,10 @@ def cylinder_interval(kind: str, digits: Sequence[int], n: int) -> ParamInterval
     if kind not in ("alpha", "alpha_plus_one"):
         raise ValueError("kind must be 'alpha' or 'alpha_plus_one'")
     interval, prefix = None, IDENTITY
-    for depth, d in enumerate(digits, 1):
-        level = _level_interval(kind, prefix, d, depth, n)
+    for depth, (d, word) in enumerate(zip(digits, _running_products(n, digits)), 1):
+        level = _level_interval(kind, prefix, word, d, depth, n)
         interval = level if interval is None else interval.intersect(level)
-        prefix = prefix @ Mobius.branch(n, d)
+        prefix = word
     return interval
 
 
@@ -424,7 +419,7 @@ def _matching_interval(orbits: _EndpointOrbits, budget: int) -> MatchingInterval
     first = min(((k + l, k, l) for k, l in heads if max(k, l) <= budget), default=None)
     if first is None:
         exc = BadRational(orbits.alpha, orbits.N, budget)
-        exc.proved = not heads and None not in (orbits.a.one_at, orbits.b.one_at)
+        exc.proved = not heads and None not in (orbits.a.trace.one_at, orbits.b.trace.one_at)
         raise exc
     _, k, l = first
     cyl_a = cylinder_interval("alpha", orbits.a.head(k), orbits.N)

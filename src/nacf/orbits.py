@@ -1,16 +1,16 @@
 """Exact orbit computation with cycle detection.
 
-Rational points are tracked both through reduced fractions (which decide
-periodicity) and through the raw numerator/denominator recurrence
-t' = N*s - d*t, s' = t that the divisibility arguments reason about.
-The same divisibility fact keeps the reduction cheap: for t/s in lowest
-terms, gcd(N*s - d*t, t) = gcd(N*s, t) = gcd(N, t), so each step divides
-by a gcd taken with N instead of one between two growing numerators.
-It also ties the two tracks together: the raw pair is cof times the
+The digit rule and the running branch product each live once, in
+:mod:`nacf.expansion`: a rational orbit takes its digits from the kernel
+that :func:`step` uses.  Rational points are tracked both through reduced
+fractions (which decide periodicity) and through the raw recurrence
+t' = N*s - d*t, s' = t that the divisibility arguments reason about.  For
+t/s in lowest terms, gcd(N*s - d*t, t) = gcd(N, t), so each step divides
+by a gcd taken with N instead of one between two growing numerators.  The
+same fact ties the two tracks together: the raw pair is cof times the
 reduced pair, with cof = prod gcd(N, t_k) over the steps so far.  That
-identity implies the cross-multiplication rt*s = t*rs, and checking it
-costs two big-by-small products once the orbit turns coprime with N,
-where every later gcd is 1.
+implies rt*s = t*rs, and checking it costs two big-by-small products once
+the orbit turns coprime with N, where every later gcd is 1.
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
 """
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
-from .exact import (Surd, compare_exact, format_exact, _floor_linear_surd,
-                    _as_exact, _int_str)
-from .expansion import OutOfDomain, Params, all_digits_coprime, step
+from .exact import Surd, compare_exact, format_exact, _as_exact, _int_str
+from .expansion import OutOfDomain, Params, all_digits_coprime, step, _rational_digit
 
 
 class InvariantViolation(RuntimeError):
@@ -109,6 +109,11 @@ class OrbitTrace:
     def values(self) -> list:
         return [st.value for st in self.states]
 
+    @cached_property
+    def one_at(self) -> Optional[int]:
+        """The first stored index whose value is 1, if any."""
+        return next((i for i, st in enumerate(self.states) if st.value == 1), None)
+
     def json_lines(self) -> Iterator[str]:
         """Each state as one JSON line, byte-identical to ``json.dumps`` of
         its fields with ``sort_keys=True`` (digit null on the last state).
@@ -163,9 +168,6 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    aa, ab, ac, ad = p.alpha_parts
-    left_end = p.left_end_quotient is not None and ab == 0  # a rational alpha
-
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
     cof = 1                                 # raw = cof * reduced
@@ -174,10 +176,7 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     seen = {(t, s): 0}
 
     for n in range(1, budget + 1):
-        # floor(N*s/t - alpha) on the reduced fraction t/s, integer-only
-        d = _floor_linear_surd(p.N * s * ac - aa * t, -ab * t, ad, t * ac)
-        if left_end and (t, s) == (aa, ac):
-            d -= 1
+        d = _rational_digit(p, t, s)
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")
         rt, rs = p.N * rs - d * rt, rt
@@ -274,15 +273,12 @@ def discriminant_check(trace: OrbitTrace) -> bool:
 def reaches_one(x, p: Params, budget: int = 1000) -> bool:
     """Whether the orbit hits the exact value 1 within the budget."""
     trace = orbit_rational(x, p, budget)
-    one = Fraction(1)
-    for i, st in enumerate(trace.states):
-        if st.value == one:
-            # after 1 the digits stay at N-1, except when alpha = 1 where
-            # the left-endpoint adjustment sends 1 to alpha + 1 instead
-            if p.alpha != 1 and any(d != p.N - 1 for d in trace.digits[i:]):
-                raise InvariantViolation("tail digits after reaching 1 are not N-1")
-            return True
-    return False
+    i = trace.one_at
+    # after 1 the digits stay at N-1, except when alpha = 1 where the
+    # left-endpoint adjustment sends 1 to alpha + 1 instead
+    if i is not None and p.alpha != 1 and any(d != p.N - 1 for d in trace.digits[i:]):
+        raise InvariantViolation("tail digits after reaching 1 are not N-1")
+    return i is not None
 
 
 @dataclass(frozen=True)

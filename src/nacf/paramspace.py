@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from .exact import (ExactNumber, compare_exact, decimal_str, floor_exact,
-                    surd, _as_exact)
-from .expansion import alpha_max
+from .exact import ExactNumber, compare_exact, decimal_str, surd, _as_exact
+from .expansion import Params, alpha_max, digit_set
 from .matching import ParamInterval
 
 
@@ -64,8 +63,8 @@ def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell,
     alpha_min, edge = _as_exact(alpha_min), alpha_max(n)
     if compare_exact(alpha_min, 0) <= 0 or compare_exact(alpha_min, edge) >= 0:
         raise ValueError("alpha_min must lie in (0, sqrt(N)-1)")
-    digit_hi = floor_exact(Fraction(n) / edge - edge)
-    digit_lo = floor_exact(Fraction(n) / (edge + 1) - edge)
+    digits = digit_set(Params(n, edge))
+    digit_lo, digit_hi = digits.start, digits.stop - 1
     upper, lower = _upper_cut(n, digit_hi + 1), _lower_cut(n, digit_lo + 1)
     cells, hi = [], edge
     while True:

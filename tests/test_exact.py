@@ -9,8 +9,8 @@ from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
-                        solve_quadratic, surd, _small_primes,
-                        _square_free_split)
+                        solve_quadratic, surd, _floor_linear_surd,
+                        _small_primes, _square_free_split)
 
 
 def test_integer_sqrt_examples():
@@ -130,6 +130,14 @@ def test_floor_examples():
     assert floor_exact(surd(-3, 1, 29, 2)) == 1     # sqrt(29) in (5, 6)
     assert floor_exact(Fraction(7)) == 7
     assert floor_exact(surd(0, -1, 2)) == -2        # -sqrt(2)
+
+
+def test_floor_kernel_rejects_a_non_positive_denominator():
+    # the upward correction only terminates for e > 0
+    for e in (0, -1):
+        with pytest.raises(ValueError, match="positive denominator"):
+            _floor_linear_surd(0, 1, 2, e)
+    assert _floor_linear_surd(7, 0, 0, 2) == 3
 
 
 def test_floor_property():

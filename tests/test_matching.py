@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 import nacf.matching
 from nacf.cli import main
-from nacf.exact import compare_exact, rational_between, surd
-from nacf.expansion import (ADD_ONE, Mobius, Params, branch_product, expand,
-                            mobius_apply, projective_equiv, step)
+from nacf.exact import (NoRootInRange, compare_exact, rational_between,
+                        solve_mobius_fixed_point, surd)
+from nacf.expansion import (ADD_ONE, Mobius, Params, alpha_max, branch_product,
+                            convergents, expand, mobius_apply,
+                            projective_equiv, step)
 from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            EmptyInterval, MatchReport, NoMatchWithinBudget,
                            ParamInterval, PrerequisiteNotMet,
@@ -304,6 +307,81 @@ def test_cylinder_nesting_binds_before_the_innermost_equations():
     deeper = cylinder_interval("alpha", (26, 1, 2, 6), 2)
     sample = deeper.sample()
     assert expand(sample, Params(2, sample), 4).prefix == (26, 1, 2, 6)
+
+
+def _reference_cylinder(kind, digits, n):
+    # the cylinder built level by level from explicit branch products
+    s = 1 if kind == "alpha_plus_one" else 0
+    edge, interval, prefix = alpha_max(n), None, Mobius(1, 0, 0, 1)
+
+    def boundary(m):
+        try:
+            return solve_mobius_fixed_point(m, s, lo=Fraction(0), hi=None)
+        except NoRootInRange:
+            return None
+
+    for depth, d in enumerate(digits, 1):
+        a1 = boundary(prefix @ Mobius.branch(n, d + 1))
+        if d > 1:
+            a2 = boundary(prefix @ Mobius.branch(n, d))
+        else:
+            a2 = boundary(prefix @ ADD_ONE) if depth >= 2 else None
+        lo, hi = (a1, a2) if depth % 2 == 1 else (a2, a1)
+        if lo is None or compare_exact(lo, edge) >= 0:
+            raise EmptyInterval("reference level is empty")
+        if hi is None or compare_exact(hi, edge) > 0:
+            level = ParamInterval(lo, edge, True, False)
+        else:
+            level = ParamInterval(lo, hi, True, True)
+        interval = level if interval is None else interval.intersect(level)
+        prefix = prefix @ Mobius.branch(n, d)
+    return interval
+
+
+def test_cylinder_interval_matches_explicit_branch_products():
+    # every prefix of length <= 6 of both endpoint expansions of each p/q with
+    # q <= 30, and the same prefixes with the last digit moved by one, which
+    # reach the empty cylinders
+    alphas = sorted({Fraction(p, q) for q in range(1, 31) for p in range(1, q)
+                     if compare_exact(Fraction(p, q), alpha_max(2)) <= 0})
+    checked = empty = 0
+    for alpha in alphas:
+        pa = Params(2, alpha)
+        for kind, x0 in (("alpha", pa.alpha), ("alpha_plus_one", pa.upper)):
+            expansion = expand(x0, pa, 6).prefix
+            for length, bump in itertools.product(range(1, 7), (0, 1, -1)):
+                word = expansion[:length - 1] + (expansion[length - 1] + bump,)
+                if word[-1] < 1:
+                    continue
+                try:
+                    want = _reference_cylinder(kind, word, 2)
+                except EmptyInterval:
+                    with pytest.raises(EmptyInterval):
+                        cylinder_interval(kind, word, 2)
+                    empty += 1
+                else:
+                    assert cylinder_interval(kind, word, 2) == want
+                    assert bump or want.contains(alpha)
+                checked += 1
+    assert len(alphas) == 115 and (checked, empty) == (3332, 272)
+
+
+def test_orbit_matrices_equal_branch_products_and_convergents():
+    rng = random.Random(41)
+    for n in range(2, 8):
+        edge = alpha_max(n)
+        for _ in range(3):
+            den = rng.randint(2, 60)
+            alpha = Fraction(rng.randint(1, max(1, int(float(edge) * den))), den)
+            if compare_exact(alpha, edge) > 0:
+                continue
+            orbits = _EndpointOrbits(alpha, n, 40)
+            for orbit in (orbits.a, orbits.b):
+                assert orbit.matrix(0) == Mobius(1, 0, 0, 1) == branch_product(n, ())
+                for k in range(1, 41):
+                    head = orbit.head(k)
+                    assert orbit.matrix(k) == branch_product(n, head)
+                    assert orbit.matrix(k) == convergents(head, n)[-1][2]
 
 
 def test_verify_families_closed_forms():

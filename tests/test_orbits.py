@@ -37,6 +37,7 @@ def test_fixed_point_one():
     assert trace.verdict.kind == REACHED_ONE
     assert (trace.verdict.pre_period, trace.verdict.period) == (0, 1)
     assert trace.digits == (4,)
+    assert trace.one_at == 0 and reaches_one(Fraction(1), Params(5, Fraction(1, 2)), 5)
 
 
 def test_no_period_within_budget():
@@ -254,6 +255,18 @@ def test_orbit_through_left_endpoint_adjustment():
     assert trace.digits[0] == 3
     assert trace.states[1].value == Fraction(2)
     assert expand(Fraction(1), p, len(trace.digits)).prefix == trace.digits
+    # every rational cut point: an integer alpha dividing N, alpha <= sqrt(N) - 1
+    cuts = [(n, a) for n in range(2, 41) for a in range(1, n) if n % a == 0 and (a + 1) ** 2 <= n]
+    assert len(cuts) == 66
+    for n, a in cuts:
+        p = Params(n, Fraction(a))
+        assert p.left_end_quotient == n // a - a
+        for x in (p.alpha, p.upper):
+            trace = orbit_rational(x, p, 50)
+            assert expand(x, p, len(trace.digits)).prefix == trace.digits
+        trace = orbit_rational(p.alpha, p, 50)
+        assert trace.digits[0] == n // a - a - 1
+        assert trace.states[1].value == p.upper
 
 
 def test_cycle_detection_is_sound():
