@@ -313,13 +313,17 @@ def floor_exact(x) -> int:
 
 
 def _floor_linear_surd(p: int, q: int, d: int, e: int) -> int:
-    """floor((p + q*sqrt(d))/e) with e > 0; sqrt(d) irrational when q != 0."""
+    """floor((p + q*sqrt(d))/e) with e > 0, for any d >= 0.
+
+    q*sqrt(d) - 1 <= f <= q*sqrt(d) below, a perfect square d included, so
+    n starts at the floor or one below it and the exact upward test ends it.
+    """
     if q == 0:
         return p // e
     if e <= 0:
         raise ValueError("floor kernel needs a positive denominator")
-    r = math.isqrt(q * q * d)
-    f = r if q > 0 else -r - 1  # floor(q*sqrt(d)); strict, value irrational
+    r = math.isqrt(q * q * d)  # floor(|q|*sqrt(d))
+    f = r if q > 0 else -r - 1
     n = (p + f) // e
     while _sign2(p - (n + 1) * e, q, d) >= 0:
         n += 1
@@ -394,9 +398,13 @@ def rational_between(lo, hi) -> Fraction:
 
 def decimal_str(x, places: int) -> str:
     """Decimal rendering of an exact value, rounded half-up. Display only."""
+    return _decimal_str(*_surd_parts(x), places)
+
+
+def _decimal_str(a: int, b: int, c: int, d: int, places: int) -> str:
+    """:func:`decimal_str` of the integer view (a, b, c, d), for any d >= 0."""
     # floor(x*10^k + 1/2) = floor((2a*10^k + c + 2b*10^k*sqrt(d))/(2c))
     scale = 10 ** places
-    a, b, c, d = _surd_parts(x)
     n = _floor_linear_surd(2 * a * scale + c, 2 * b * scale, d, 2 * c)
     sign = "-" if n < 0 else ""
     n = abs(n)

@@ -6,7 +6,10 @@ a cell belongs to the coprime region when every digit there is coprime
 with N.  Inside that region rationals are never periodic for alpha > 1 and
 matching is obstructed, which yields whole no-matching intervals for odd N.
 The largest and the smallest digit both fall as alpha grows, so the cells
-are one merge of their two breakpoint sequences (see :func:`kset`).
+are one merge of their two breakpoint sequences (see :func:`_walk`), with
+the cuts ordered by integer sign tests alone.  The plot rows are rendered
+from the cuts' integer views and never factor a radicand; :func:`kset`
+builds canonical values from the same walk.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from .exact import ExactNumber, compare_exact, decimal_str, surd, _as_exact
-from .expansion import Params, alpha_max, digit_set
+from .exact import (ExactNumber, surd, _decimal_str, _sign, _sign2,
+                    _surd_parts)
+from .expansion import alpha_max
 from .matching import ParamInterval
 
 
@@ -39,52 +43,87 @@ class DigitSetCell:
 DEFAULT_ALPHA_MIN = Fraction(1, 100)
 
 
-def _upper_cut(n: int, m: int) -> ExactNumber:
-    # N/a - a = m, i.e. a^2 + m a - N = 0, positive root
-    return surd(-m, 1, m * m + 4 * n, 2)
+# A cut is the positive root of a monic quadratic x^2 + s x + t, held as
+# (s, t); the quadratic rises on x > 0, and t >= 0 (a lower cut past N - 1,
+# which the walk never takes) makes the cut 0.
+
+def _upper(n: int, m: int) -> tuple[int, int]:  # u(m): N/a - a = m
+    return m, -n
 
 
-def _lower_cut(n: int, m: int) -> ExactNumber:
-    # N/(a+1) - a = m, i.e. a^2 + (m+1) a + (m-N) = 0; no positive root for m >= N
-    return surd(-(m + 1), 1, (m - 1) * (m - 1) + 4 * n, 2) if m < n else Fraction(0)
+def _lower(n: int, m: int) -> tuple[int, int]:  # l(m): N/(a+1) - a = m
+    return m + 1, m - n
+
+
+def _root(cut: tuple[int, int]) -> tuple[int, int, int, int]:
+    s, t = cut
+    return -s, 1, 2, s * s - 4 * t
+
+
+def _at_or_below(cut: tuple[int, int], alpha: tuple[int, int, int, int]) -> bool:
+    """Whether the cut is <= alpha > 0: the sign of its quadratic at alpha,
+    times c^2 for alpha's integer view (a, b, c, d)."""
+    s, t = cut
+    a, b, c, d = alpha
+    return _sign2(a * a + b * b * d + s * a * c + t * c * c, (2 * a + s * c) * b, d) >= 0
+
+
+def _order(n: int, m_u: int, m_l: int) -> int:
+    """Sign of u(m_u) - l(m_l), in integers.
+
+    f(a) = N/a - a falls, f(u(m_u)) = m_u and f(l) = m_l + 1 + m_l/l for
+    l = l(m_l) > 0, so u(m_u) > l exactly when k = m_u - m_l - 1 < m_l/l.
+    For k > 0 that is l < m_l/k: the sign of the rising lower quadratic
+    x^2 + (m_l+1) x + m_l - N at x = m_l/k, scaled by k^2, which is also
+    +1 for m_l >= N, where l = 0.
+    """
+    k = m_u - m_l - 1
+    if k <= 0:
+        return 0 if m_l == k == 0 else 1
+    return _sign(m_l * m_l + (m_l + 1) * m_l * k + (m_l - n) * k * k)
+
+
+def _walk(n: int, alpha_min) -> tuple[list, list]:
+    """Bounds (integer views, alpha_min's first) and cells (digit_lo,
+    digit_hi, in_k) of (alpha_min, sqrt(N)-1], ascending; cells[i] holds on
+    (bounds[i], bounds[i+1]].  One walk down from the edge sqrt(N)-1 = l(1):
+    the next bound is the larger of the pending upper cut u(digit_hi+1),
+    where the top digit gains one, and lower cut l(digit_lo+1), where the
+    bottom digit gains one; equal cuts advance both.
+    """
+    if n < 2:
+        raise ValueError("N must be >= 2")
+    alpha = _surd_parts(alpha_min)
+    if _sign2(alpha[0], alpha[1], alpha[3]) <= 0 or _at_or_below(_lower(n, 1), alpha):
+        raise ValueError("alpha_min must lie in (0, sqrt(N)-1)")
+    digit_lo, digit_hi = 1, 0
+    while _order(n, digit_hi + 1, 1) >= 0:      # the top digit at the edge
+        digit_hi += 1
+    bounds, cells = [_root(_lower(n, 1))], []
+    while True:
+        side = _order(n, digit_hi + 1, digit_lo + 1)
+        cut = _upper(n, digit_hi + 1) if side >= 0 else _lower(n, digit_lo + 1)
+        last = _at_or_below(cut, alpha)
+        bounds.append(alpha if last else _root(cut))
+        cells.append((digit_lo, digit_hi,
+                      all(math.gcd(n, d) == 1 for d in range(digit_lo, digit_hi + 1))))
+        if last:
+            return bounds[::-1], cells[::-1]
+        digit_hi += side >= 0
+        digit_lo += side <= 0
 
 
 @lru_cache(maxsize=256)
 def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell, ...]:
     """Partition (alpha_min, sqrt(N)-1] into half-open digit-set cells.
 
-    One walk down from the edge: the next cell boundary is the larger of the
-    next upper cut (where the top digit gains one) and the next lower cut
-    (where the bottom digit gains one); equal cuts advance both.  The
-    digits of each cell are those counters, exact with no sampling.
+    The cells of one walk down from the edge (see :func:`_walk`), with
+    canonical endpoints; the digits of each cell are exact, with no sampling.
     """
-    if n < 2:
-        raise ValueError("N must be >= 2")
-    alpha_min, edge = _as_exact(alpha_min), alpha_max(n)
-    if compare_exact(alpha_min, 0) <= 0 or compare_exact(alpha_min, edge) >= 0:
-        raise ValueError("alpha_min must lie in (0, sqrt(N)-1)")
-    digits = digit_set(Params(n, edge))
-    digit_lo, digit_hi = digits.start, digits.stop - 1
-    upper, lower = _upper_cut(n, digit_hi + 1), _lower_cut(n, digit_lo + 1)
-    cells, hi = [], edge
-    while True:
-        side = compare_exact(upper, lower)
-        lo = upper if side >= 0 else lower
-        last = compare_exact(lo, alpha_min) <= 0
-        if last:
-            lo = alpha_min
-        in_k = all(math.gcd(n, d) == 1 for d in range(digit_lo, digit_hi + 1))
-        cells.append(DigitSetCell(ParamInterval(lo, hi, True, False),
-                                  digit_lo, digit_hi, in_k))
-        if last:
-            return tuple(reversed(cells))
-        if side >= 0:
-            digit_hi += 1
-            upper = _upper_cut(n, digit_hi + 1)
-        if side <= 0:
-            digit_lo += 1
-            lower = _lower_cut(n, digit_lo + 1)
-        hi = lo
+    bounds, cells = _walk(n, alpha_min)
+    ends = [surd(a, b, d, c) for a, b, c, d in bounds]
+    return tuple(DigitSetCell(ParamInterval(lo, hi, True, False), *digits)
+                 for lo, hi, digits in zip(ends, ends[1:], cells))
 
 
 def digit_breakpoints(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[ExactNumber, ...]:
@@ -104,16 +143,17 @@ def no_matching_regions(n: int) -> list[ParamInterval]:
     For N = 5 and 7 the whole of (1, sqrt(N)-1] qualifies; for odd N >= 9
     the interval starts at the positive solution of x = N/(3+x), beyond
     which only the digits 1 and 2 occur.  Each returned interval is checked
-    to consist of coprime-region cells.
+    to consist of coprime-region cells: its left end is itself a cut (the
+    upper cut at m = N-1 for N = 5 and 7, at m = 3 for N >= 9), so the
+    cells of kset(N, lo) are exactly the region's.
     """
     if n % 2 == 0 or n < 5:
         raise NotApplicable("established only for odd N >= 5")
     lo = Fraction(1) if n in (5, 7) else surd(-3, 1, 9 + 4 * n, 2)
     region = ParamInterval(lo, alpha_max(n), True, False)
-    for cell in kset(n):
-        if compare_exact(cell.interval.lo, region.lo) >= 0:
-            if not cell.in_k:
-                raise RuntimeError(f"cell {cell.interval} in the region is not coprime")
+    for cell in kset(n, region.lo):
+        if not cell.in_k:
+            raise RuntimeError(f"cell {cell.interval} in the region is not coprime")
     return [region]
 
 
@@ -123,16 +163,16 @@ def emit_kset_plot_data(n_max: int, precision: int = 6,
     """Rows (N, lo, hi, in_K, digit_lo, digit_hi) for N = n_min..n_max.
 
     Endpoint decimals are display renderings of the exact cell boundaries
-    at the requested precision, each boundary rendered once; suitable for
-    plotting the coprime region.  The CLI's kset output is these rows.
+    at the requested precision, each boundary rendered once from the walk's
+    integer view, so no radicand is factored; suitable for plotting the
+    coprime region.  The CLI's kset output is these rows.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("N must run over 2 <= n_min <= n_max")
     rows = []
     for n in range(n_min, n_max + 1):
-        cells = kset(n, alpha_min)
-        bounds = [cells[0].interval.lo] + [cell.interval.hi for cell in cells]
-        ends = [decimal_str(b, precision) for b in bounds]
-        rows += [(n, lo, hi, cell.in_k, cell.digit_lo, cell.digit_hi)
-                 for cell, lo, hi in zip(cells, ends, ends[1:])]
+        bounds, cells = _walk(n, alpha_min)
+        ends = [_decimal_str(*b, precision) for b in bounds]
+        rows += [(n, lo, hi, in_k, digit_lo, digit_hi)
+                 for lo, hi, (digit_lo, digit_hi, in_k) in zip(ends, ends[1:], cells)]
     return rows

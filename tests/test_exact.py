@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import approx_bounds, interval_compare, random_exact, random_surd
 from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
-                        solve_quadratic, surd, _floor_linear_surd,
-                        _small_primes, _square_free_split)
+                        solve_quadratic, surd, _decimal_str,
+                        _floor_linear_surd, _small_primes, _square_free_split)
 
 
 def test_integer_sqrt_examples():
@@ -138,6 +140,23 @@ def test_floor_kernel_rejects_a_non_positive_denominator():
         with pytest.raises(ValueError, match="positive denominator"):
             _floor_linear_surd(0, 1, 2, e)
     assert _floor_linear_surd(7, 0, 0, 2) == 3
+
+
+def _floor_reference(p, q, d, e):
+    # floor((p + q*sqrt(d))/e) = floor((p + floor(q*sqrt(d)))/e) for e > 0
+    r = math.isqrt(q * q * d)
+    f = r if q >= 0 else -r if r * r == q * q * d else -r - 1
+    return (p + f) // e
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3).filter(bool),
+       st.one_of(st.integers(0, 10**4).map(lambda r: r * r), st.integers(0, 10**8)),
+       st.integers(1, 10**4))
+def test_floor_kernel_on_any_radicand(p, q, d, e):
+    # unsplit radicands reach the kernel: a cut's m*m + 4N can be a square
+    assert _floor_linear_surd(p, q, d, e) == _floor_reference(p, q, d, e)
+    assert _decimal_str(p, q, e, d, 3) == decimal_str(surd(p, q, d, e), 3)
 
 
 def test_floor_property():

@@ -5,10 +5,12 @@ from functools import cmp_to_key
 
 import pytest
 
-from nacf.exact import (compare_exact, floor_exact, is_rational,
+from nacf import exact, paramspace
+from nacf.exact import (compare_exact, decimal_str, floor_exact, is_rational,
                         rational_between, surd)
 from nacf.expansion import Params, alpha_max, digit_set
-from nacf.paramspace import (NotApplicable, digit_breakpoints,
+from nacf.matching import ParamInterval
+from nacf.paramspace import (DigitSetCell, NotApplicable, digit_breakpoints,
                              emit_kset_plot_data, kset, no_matching_regions)
 
 
@@ -137,6 +139,54 @@ def test_kset_rejects_alpha_min_outside_the_parameter_space():
             kset(n, alpha_min)
 
 
+def test_cut_order_matches_compare_exact():
+    # every m_l <= N + 1, and m_u up to two past the sign change; N <= 30
+    ties = 0
+    for n in range(2, 31):
+        upper = [surd(-m, 1, m * m + 4 * n, 2) for m in range(n * n + 2 * n + 4)]
+        for m_l in range(n + 2):
+            lower = surd(-(m_l + 1), 1, (m_l - 1) ** 2 + 4 * n, 2) if m_l < n else 0
+            past = 0
+            for m_u, cut in enumerate(upper):
+                want = compare_exact(cut, lower)
+                assert paramspace._order(n, m_u, m_l) == want, (n, m_u, m_l)
+                ties += want == 0
+                past += want < 0
+                if past == 2:
+                    break
+            assert past == 2 or m_l >= n
+    assert ties > 0
+
+
+def test_plot_rows_equal_the_kset_cells():
+    cases = [(n, a) for n in range(2, 41)
+             for a in (Fraction(1, 100), Fraction(1, 3), surd(-1, 1, 2))
+             if compare_exact(a, alpha_max(n)) < 0]
+    cases += [(5, Fraction(1)), (2, surd(-5, 1, 33, 2))]   # a rational and a surd cut
+    for n, alpha_min in cases:
+        cells = kset(n, alpha_min)
+        bounds = [alpha_min] + [c.interval.hi for c in cells]
+        for places in (0, 6, 10):
+            ends = [decimal_str(b, places) for b in bounds]
+            want = [(n, lo, hi, c.in_k, c.digit_lo, c.digit_hi)
+                    for c, lo, hi in zip(cells, ends, ends[1:])]
+            assert emit_kset_plot_data(n, places, alpha_min, n_min=n) == want, (n, alpha_min)
+
+
+def test_plot_rows_factor_no_cut(monkeypatch):
+    # the rows come from the walk's integer views, so the number of
+    # square-free splits does not grow with the number of cells
+    calls = []
+    split = exact._square_free_split
+    monkeypatch.setattr(exact, "_square_free_split", lambda n: calls.append(n) or split(n))
+    counts = []
+    for alpha_min in (Fraction(1, 100), Fraction(1, 1000)):
+        calls.clear()
+        emit_kset_plot_data(2, 6, alpha_min)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_no_matching_regions():
     (r5,) = no_matching_regions(5)
     assert r5.lo == Fraction(1) and r5.hi == alpha_max(5)
@@ -159,3 +209,21 @@ def test_plot_rows():
     for a, b in zip(two_rows, two_rows[1:]):
         assert a[2] == b[1]  # rendered endpoints chain without gaps
     assert emit_kset_plot_data(3, precision=3)[0][1] == "0.010"
+
+
+def test_no_matching_regions_walk_their_own_cells(monkeypatch):
+    for n in range(5, 100, 2):
+        (region,) = no_matching_regions(n)
+        cells = kset(n, region.lo)
+        assert cells[0].interval.lo == region.lo
+        assert cells[-1].interval.hi == region.hi
+        assert region.lo in digit_breakpoints(n, region.lo / 2)   # a cut, not a clamp
+        assert all(cell.in_k for cell in cells)
+    # a cell that is not coprime still stops the check
+    real = kset.__wrapped__
+    planted = DigitSetCell(ParamInterval(Fraction(11, 10), Fraction(6, 5), True, False),
+                           1, 5, False)
+    for plant in (lambda cells: (planted,) + cells, lambda cells: cells + (planted,)):
+        monkeypatch.setattr(paramspace, "kset", lambda n, alpha_min: plant(real(n, alpha_min)))
+        with pytest.raises(RuntimeError, match="not coprime"):
+            no_matching_regions(5)
