@@ -15,19 +15,20 @@ import sys
 from fractions import Fraction
 
 from .exact import decimal_str, format_exact, parse_exact
-from .expansion import OutOfDomain, Params, expand
+from .expansion import Params, expand
 from .matching import (BadRational, MatchReport, MismatchDetected,
                        NoMatchWithinBudget, bad_rational_certificate,
                        matching_interval, verify_theorem_intervals,
                        _match_and_interval)
-from .orbits import InvariantViolation, orbit_quadratic, orbit_rational
-from .paramspace import NotApplicable, emit_kset_plot_data, no_matching_regions
+from .orbits import orbit_quadratic, orbit_rational
+from .paramspace import DEFAULT_ALPHA_MIN, emit_kset_plot_data, no_matching_regions
 
 EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_NEGATIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 CONFIG_ENV = "NACF_CONFIG"
 DEFAULTS = {"budget": 1000, "format": "text", "precision": 10,
-            "alpha_min": Fraction(1, 100)}
+            "alpha_min": DEFAULT_ALPHA_MIN}
+FORMATS = ("text", "json", "csv")
 BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limit
 VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
 VERIFY_K_MAX = 10_000  # a family check's surd radicands grow like k^2
@@ -38,28 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
-
-
-def _load_config(path):
-    cfg = dict(DEFAULTS)
-    path = path or os.environ.get(CONFIG_ENV)
-    if not path:
-        return cfg
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("budget", "precision"):
-                cfg[key] = int(value)
-            elif key == "alpha_min":
-                cfg[key] = parse_exact(value)
-            elif key == "format":
-                cfg[key] = value
-    if cfg["budget"] < 1 or not 1 <= cfg["precision"] <= 200:
-        raise ValueError("config: budget >= 1 and precision in [1, 200] required")
-    return cfg
 
 
 def _exact(text):
@@ -76,7 +55,41 @@ def _k_range(text):
     return range(lo, hi + 1)
 
 
-def _emit(obj, fmt, precision):
+def _settings(args) -> dict:
+    """The run settings, each settled once: DEFAULTS, overridden by the
+    key = value config file named by --config or $NACF_CONFIG, overridden by
+    every flag given.  Precision and format are checked here, whatever set
+    them; budget is passed on as given, for the command to check."""
+    cfg = dict(DEFAULTS)
+    path = args.config or os.environ.get(CONFIG_ENV)
+    if path:
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}")
+        for line in lines:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key.startswith("#"):
+                continue
+            if key in ("budget", "precision"):
+                cfg[key] = int(value)
+            elif key == "alpha_min":
+                cfg[key] = parse_exact(value)
+            elif key == "format":
+                cfg[key] = value
+    for key in cfg:
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = value
+    if not 1 <= cfg["precision"] <= 200:
+        raise ValueError(f"precision must be in [1, 200], got {cfg['precision']}")
+    if cfg["format"] not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg['format']!r}")
+    return cfg
+
+
+def _emit(obj, fmt):
     if fmt == "json":
         print(json.dumps(obj, indent=None, sort_keys=True))
     else:
@@ -104,7 +117,7 @@ def _cmd_expand(args, cfg):
 
 def _cmd_orbit(args, cfg):
     p = Params(args.N, args.alpha)
-    budget = args.budget or cfg["budget"]
+    budget = cfg["budget"]
     if args.quadratic or not isinstance(args.x, Fraction):
         trace = orbit_quadratic(args.x, p, budget)
     else:
@@ -117,7 +130,7 @@ def _cmd_orbit(args, cfg):
 
 
 def _cmd_match(args, cfg):
-    budget = args.budget or cfg["budget"]
+    budget = cfg["budget"]
     report, mi = _match_and_interval(args.alpha, args.N, budget, min(budget, 64))
     out = report.to_json()
     out["certificates"] = []
@@ -129,16 +142,15 @@ def _cmd_match(args, cfg):
         out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
     elif isinstance(report, NoMatchWithinBudget) and report.obstruction is not None:
         out["certificates"].append(report.obstruction.to_json())
-    _emit(out, cfg["format"], cfg["precision"])
+    _emit(out, cfg["format"])
     if not isinstance(report, MatchReport):
         return EXIT_NEGATIVE
     return EXIT_OK
 
 
 def _cmd_interval(args, cfg):
-    budget = args.budget or 40
     try:
-        mi = matching_interval(args.alpha, args.N, budget=budget)
+        mi = matching_interval(args.alpha, args.N, budget=cfg["budget"])
     except BadRational as exc:
         out = {"alpha": format_exact(exc.alpha), "N": exc.N,
                "bad_rational_candidate": True, "proved": exc.proved}
@@ -147,11 +159,11 @@ def _cmd_interval(args, cfg):
                 and alpha.denominator & (alpha.denominator - 1) == 0:
             cert = bad_rational_certificate(alpha.denominator.bit_length() - 1)
             out["certificate"] = cert.to_json()
-        _emit(out, cfg["format"], cfg["precision"])
+        _emit(out, cfg["format"])
         return EXIT_NEGATIVE
     out = mi.to_json()
     out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
-    _emit(out, cfg["format"], cfg["precision"])
+    _emit(out, cfg["format"])
     return EXIT_OK
 
 
@@ -220,7 +232,7 @@ def _cmd_verify(args, cfg):
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="nacf", description=__doc__)
     top.add_argument("--config", help="path to a key=value config file")
-    top.add_argument("--format", choices=["text", "json", "csv"])
+    top.add_argument("--format", choices=FORMATS)
     top.add_argument("--precision", type=int)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("interval", help="stable exponents and matching interval (N=2)")
     sp.add_argument("--alpha", type=_exact, required=True)
     sp.add_argument("--N", type=int, default=2)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=int, default=40)  # a config-file budget never reaches it
     sp.set_defaults(fn=_cmd_interval)
 
     sp = sub.add_parser("badrat", help="mod-2 certificate for alpha = 1/2^n")
@@ -286,18 +298,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        cfg = _load_config(args.config)
-        if args.format:
-            cfg["format"] = args.format
-        if args.precision is not None:
-            cfg["precision"] = args.precision
-        if getattr(args, "alpha_min", None) is not None:
-            cfg["alpha_min"] = args.alpha_min
-        return args.fn(args, cfg)
-    except (OutOfDomain, NotApplicable, ValueError) as exc:
+        return args.fn(args, _settings(args))
+    except ValueError as exc:  # OutOfDomain and NotApplicable among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (InvariantViolation, MismatchDetected, RuntimeError) as exc:
+    except (MismatchDetected, RuntimeError) as exc:  # InvariantViolation is one
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

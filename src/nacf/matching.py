@@ -45,7 +45,7 @@ from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
                     rational_between, solve_mobius_fixed_point, surd, _as_exact)
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, digit_set,
-                        projective_equiv, _running_products)
+                        projective_equiv, step, _running_products)
 from .orbits import PERIODIC, InvariantViolation, orbit_rational
 
 STABLE = "stable"
@@ -497,15 +497,14 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
 
     heads = []
     for x, where in ((alpha, ""), (alpha + 1, " of alpha + 1")):
-        vals = [x] if math.gcd(x.numerator, n) == 1 else orbit_rational(x, p, budget=64).values()
-        for i, v in enumerate(vals):
-            if math.gcd(v.numerator, n) == 1:
-                heads.append(vals[:i + 1])
-                break
-            if i + 1 >= len(vals):
+        vals = [x]
+        while math.gcd(vals[-1].numerator, n) != 1:
+            if len(vals) > 64:
                 return Obstruction(False, "numerators kept the factor N past the scan window")
-            if preimage(vals[i + 1]) is not None:
-                return Obstruction(False, f"congruence escape at step {i}{where}")
+            vals.append(step(vals[-1], p)[1])
+            if preimage(vals[-1]) is not None:
+                return Obstruction(False, f"congruence escape at step {len(vals) - 2}{where}")
+        heads.append(vals)
     va, wb = heads
     if not set(va).isdisjoint(wb[1:]):
         return Obstruction(False, "the endpoint orbits meet before they turn coprime")

@@ -145,15 +145,16 @@ def no_matching_regions(n: int) -> list[ParamInterval]:
     which only the digits 1 and 2 occur.  Each returned interval is checked
     to consist of coprime-region cells: its left end is itself a cut (the
     upper cut at m = N-1 for N = 5 and 7, at m = 3 for N >= 9), so the
-    cells of kset(N, lo) are exactly the region's.
+    cells of the walk down to lo are exactly the region's.
     """
     if n % 2 == 0 or n < 5:
         raise NotApplicable("established only for odd N >= 5")
     lo = Fraction(1) if n in (5, 7) else surd(-3, 1, 9 + 4 * n, 2)
     region = ParamInterval(lo, alpha_max(n), True, False)
-    for cell in kset(n, region.lo):
-        if not cell.in_k:
-            raise RuntimeError(f"cell {cell.interval} in the region is not coprime")
+    for digit_lo, digit_hi, in_k in _walk(n, lo)[1]:
+        if not in_k:
+            raise RuntimeError(f"the cell with digits {digit_lo}..{digit_hi} "
+                               f"in the region is not coprime")
     return [region]
 
 

@@ -319,6 +319,55 @@ def test_config_file(tmp_path, capsys):
     assert code == 0 and out.startswith("N,lo,hi")
 
 
+def test_settings_flag_over_file_over_default(tmp_path, capsys, monkeypatch):
+    # the file comes from --config or $NACF_CONFIG; a commented line is skipped
+    cfg = tmp_path / "nacf.conf"
+    cfg.write_text("# budget = 7\nbudget = 1\nprecision = 4\nalpha_min = 1/3\n")
+    orbit = ("orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9")
+    assert run(capsys, *orbit)[1].endswith("Periodic pre=1 period=1 first-repeat=2\n")
+    assert run(capsys, "--config", str(cfg), *orbit)[1].endswith("NoPeriodWithinBudget\n")
+    monkeypatch.setenv("NACF_CONFIG", str(cfg))
+    assert run(capsys, *orbit)[1].endswith("NoPeriodWithinBudget\n")
+    assert run(capsys, *orbit, "--budget", "2")[1].endswith("first-repeat=2\n")
+    _, out, _ = run(capsys, "kset", "--N", "5")
+    assert out.splitlines()[1] == "5,0.3333,0.3485,False,3,14"
+    _, out, _ = run(capsys, "--precision", "2", "kset", "--N", "5", "--alpha-min", "1/2")
+    assert out.splitlines()[1] == "5,0.50,0.52,False,2,9"
+    # interval keeps its own default budget of 40; the file's does not reach it
+    code, out, _ = run(capsys, "interval", "--alpha", "2/9")
+    assert code == 0 and "interval_text: ((-17+3*sqrt(41))/10 ~ 0.2209, " in out
+
+
+def test_settings_exit_two_whatever_sets_them(tmp_path, capsys, monkeypatch):
+    # one error line and exit 2, whether a flag or the config file set the value
+    missing, folder = tmp_path / "missing.conf", tmp_path
+    orbit = ("orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9")
+    cases = [(("--config", str(missing), *orbit),
+              f"cannot read config file {missing}: No such file or directory"),
+             (("--config", str(folder), *orbit),
+              f"cannot read config file {folder}: Is a directory")]
+    for precision in ("-1", "0", "201"):
+        message = f"precision must be in [1, 200], got {precision}"
+        cfg = tmp_path / f"precision{precision}.conf"
+        cfg.write_text(f"precision = {precision}\n")
+        cases += [(("--precision", precision, "interval", "--alpha", "2/9"), message),
+                  (("--config", str(cfg), "interval", "--alpha", "2/9"), message)]
+    cfg = tmp_path / "xml.conf"
+    cfg.write_text("format = xml\n")
+    cases.append((("--config", str(cfg), *orbit),
+                  "format must be one of text, json, csv, got 'xml'"))
+    for budget in ("0", "-1"):
+        cases += [((*orbit, "--budget", budget), "budget must be >= 1"),
+                  (("match", "--alpha", "2/9", "--N", "2", "--budget", budget),
+                   "budget must be >= 1"),
+                  (("interval", "--alpha", "2/9", "--budget", budget), "budget must be >= 1")]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    monkeypatch.setenv("NACF_CONFIG", str(missing))
+    assert run(capsys, *orbit) == (
+        2, "", f"error: cannot read config file {missing}: No such file or directory\n")
+
+
 def test_outputs_reparse_to_exact_values(capsys):
     _, out, _ = run(capsys, "--format", "json", "interval", "--alpha", "13/72", "--N", "2")
     data = json.loads(out)

@@ -26,7 +26,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            stability_check, verify_family,
                            verify_theorem_intervals, _EndpointOrbits,
                            _detect_matching)
-from nacf.orbits import PERIODIC, InvariantViolation
+from nacf.orbits import PERIODIC, InvariantViolation, orbit_rational
 
 
 def iterate(x, p, count):
@@ -238,6 +238,38 @@ def test_obstruction_examples():
     # alpha + 1 could reach 3/2 through 2; the certificate declines
     assert str(no_matching_obstruction(Fraction(10, 9), 5)) == (
         "HypothesesFail: congruence escape at step 0")
+
+
+def test_obstruction_steps_each_endpoint_to_its_first_coprime_value(monkeypatch):
+    # the certificate steps alpha and alpha + 1 only until each turns coprime
+    # with N, or until a value has a coprime preimage (an escape at step i
+    # after i + 1 steps), and builds no orbit trace
+    cases = {(Fraction(159, 56), 15): "holds", (Fraction(193, 56), 21): "holds",
+             (Fraction(6, 5), 5): "holds", (Fraction(10, 9), 5): 0,
+             (Fraction(40, 39), 5): 2, (Fraction(65, 59), 5): 2, (Fraction(99, 58), 11): 1}
+    expected = {}
+    for (alpha, n), escape in cases.items():
+        if escape == "holds":
+            p = Params(n, alpha)
+            expected[alpha, n] = (None, sum(
+                next(i for i, v in enumerate(orbit_rational(x, p, 64).values())
+                     if math.gcd(v.numerator, n) == 1) for x in (alpha, alpha + 1)))
+        else:
+            expected[alpha, n] = (f"congruence escape at step {escape}", escape + 1)
+    steps = Counter()
+    real_step = nacf.matching.step
+
+    def counted(x, p):
+        steps["calls"] += 1
+        return real_step(x, p)
+
+    monkeypatch.setattr(nacf.matching, "orbit_rational", None)
+    monkeypatch.setattr(nacf.matching, "step", counted)
+    for (alpha, n), (reason, count) in expected.items():
+        steps.clear()
+        obs = no_matching_obstruction(alpha, n)
+        assert obs.holds == (reason is None)
+        assert (reason is None or obs.reason == reason) and steps["calls"] == count
 
 
 @st.composite

@@ -9,8 +9,7 @@ from nacf import exact, paramspace
 from nacf.exact import (compare_exact, decimal_str, floor_exact, is_rational,
                         rational_between, surd)
 from nacf.expansion import Params, alpha_max, digit_set
-from nacf.matching import ParamInterval
-from nacf.paramspace import (DigitSetCell, NotApplicable, digit_breakpoints,
+from nacf.paramspace import (NotApplicable, digit_breakpoints,
                              emit_kset_plot_data, kset, no_matching_regions)
 
 
@@ -220,10 +219,12 @@ def test_no_matching_regions_walk_their_own_cells(monkeypatch):
         assert region.lo in digit_breakpoints(n, region.lo / 2)   # a cut, not a clamp
         assert all(cell.in_k for cell in cells)
     # a cell that is not coprime still stops the check
-    real = kset.__wrapped__
-    planted = DigitSetCell(ParamInterval(Fraction(11, 10), Fraction(6, 5), True, False),
-                           1, 5, False)
-    for plant in (lambda cells: (planted,) + cells, lambda cells: cells + (planted,)):
-        monkeypatch.setattr(paramspace, "kset", lambda n, alpha_min: plant(real(n, alpha_min)))
+    real = paramspace._walk
+    planted = (1, 5, False)  # (digit_lo, digit_hi, in_k): digit 5 shares a factor with N
+    for first in (True, False):
+        def walk(n, alpha_min):
+            bounds, cells = real(n, alpha_min)
+            return bounds, [planted] + cells if first else cells + [planted]
+        monkeypatch.setattr(paramspace, "_walk", walk)
         with pytest.raises(RuntimeError, match="not coprime"):
             no_matching_regions(5)
