@@ -28,6 +28,7 @@ EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_NEGATIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 CONFIG_ENV = "NACF_CONFIG"
 DEFAULTS = {"budget": 1000, "format": "text", "precision": 10,
             "alpha_min": DEFAULT_ALPHA_MIN}
+CONFIG_READERS = {"budget": int, "format": str, "precision": int, "alpha_min": parse_exact}
 FORMATS = ("text", "json", "csv")
 BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limit
 VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
@@ -58,8 +59,10 @@ def _k_range(text):
 def _settings(args) -> dict:
     """The run settings, each settled once: DEFAULTS, overridden by the
     key = value config file named by --config or $NACF_CONFIG, overridden by
-    every flag given.  Precision and format are checked here, whatever set
-    them; budget is passed on as given, for the command to check."""
+    every flag given.  The file may hold blank lines and # comments; any
+    other line must set a known key to a readable value.  Precision and
+    format are checked here, whatever set them; budget is passed on as
+    given, for the command to check."""
     cfg = dict(DEFAULTS)
     path = args.config or os.environ.get(CONFIG_ENV)
     if path:
@@ -68,16 +71,18 @@ def _settings(args) -> dict:
                 lines = fh.readlines()
         except OSError as exc:
             raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}")
-        for line in lines:
-            key, eq, value = (part.strip() for part in line.partition("="))
-            if not eq or key.startswith("#"):
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
                 continue
-            if key in ("budget", "precision"):
-                cfg[key] = int(value)
-            elif key == "alpha_min":
-                cfg[key] = parse_exact(value)
-            elif key == "format":
-                cfg[key] = value
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in CONFIG_READERS:
+                raise ValueError(f"config file {path}, line {number}: expected key = value "
+                                 f"with a key in {', '.join(CONFIG_READERS)}, got {line!r}")
+            try:
+                cfg[key] = CONFIG_READERS[key](value)
+            except ValueError:
+                raise ValueError(f"config file {path}: bad {key} value {value!r}") from None
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:
@@ -298,7 +303,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return args.fn(args, _settings(args))
+        code = args.fn(args, _settings(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`nacf kset ... | head`).  Point fd 1
+        # at devnull, so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ValueError as exc:  # OutOfDomain and NotApplicable among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

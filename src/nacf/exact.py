@@ -3,9 +3,9 @@
 Every value handled by this package is an ``ExactNumber``: either a
 ``fractions.Fraction`` or a :class:`Surd` representing ``(a + b*sqrt(d))/c``.
 Both are read through one integer view, the tuple (a, b, c, d) with c > 0
-and b = d = 0 for a rational.  Comparisons, floors and decimal rendering
-work on that view through the sign and floor kernels below, without
-building intermediate surds.  Floors, comparisons and root selection use
+and b = d = 0 for a rational.  Arithmetic, comparisons, floors and text
+work on that view, with one formula per operation and the sign and floor
+kernels below.  Floors, comparisons and root selection use
 integer arithmetic only; there is no floating-point on a decision path.
 """
 
@@ -131,19 +131,23 @@ class Surd:
         self.d = d
 
     # -- arithmetic ---------------------------------------------------
+    # one formula per operator on (a, b, c) views, one surd() call each
+
+    def _field_view(self, other):
+        """(a, b, c) with other = (a + b*sqrt(self.d))/c; None for a non-number."""
+        if not isinstance(other, _OPERANDS):
+            return None
+        a, b, c, d = _surd_parts(other)
+        if b and d != self.d:
+            raise MixedRadicands(f"sqrt({self.d}) vs sqrt({d})")
+        return a, b, c
 
     def __add__(self, other):
-        other = _as_exact(other)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return surd(self.a * q + p * self.c, self.b * q, self.d, self.c * q)
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise MixedRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
-            return surd(self.a * other.c + other.a * self.c,
-                        self.b * other.c + other.b * self.c,
-                        self.d, self.c * other.c)
-        return NotImplemented
+        y = self._field_view(other)
+        if y is None:
+            return NotImplemented
+        a, b, c = y
+        return surd(self.a * c + a * self.c, self.b * c + b * self.c, self.d, self.c * c)
 
     __radd__ = __add__
 
@@ -151,55 +155,33 @@ class Surd:
         return Surd(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
-        other = _as_exact(other)
-        if isinstance(other, (Fraction, Surd)):
-            return self + (-other)
-        return NotImplemented
+        return self + (-other) if isinstance(other, _OPERANDS) else NotImplemented
 
     def __rsub__(self, other):
-        other = _as_exact(other)
-        if isinstance(other, (Fraction, Surd)):
-            return (-self) + other
-        return NotImplemented
+        return (-self) + other if isinstance(other, _OPERANDS) else NotImplemented
 
     def __mul__(self, other):
-        other = _as_exact(other)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            if p == 0:
-                return Fraction(0)
-            return surd(self.a * p, self.b * p, self.d, self.c * q)
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise MixedRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
-            return surd(self.a * other.a + self.b * other.b * self.d,
-                        self.a * other.b + self.b * other.a,
-                        self.d, self.c * other.c)
-        return NotImplemented
+        y = self._field_view(other)
+        if y is None:
+            return NotImplemented
+        return _product(self._view(), y, self.d)
 
     __rmul__ = __mul__
 
-    def _inverse(self):
-        # 1/x = c*(a - b*sqrt(d)) / (a^2 - b^2 d); the norm is nonzero
-        # because the value is irrational.
-        norm = self.a * self.a - self.b * self.b * self.d
-        return surd(self.a * self.c, -self.b * self.c, self.d, norm)
-
     def __truediv__(self, other):
-        other = _as_exact(other)
-        if isinstance(other, Fraction):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / other)
-        if isinstance(other, Surd):
-            return self * other._inverse()
-        return NotImplemented
+        y = self._field_view(other)
+        if y is None:
+            return NotImplemented
+        return _product(self._view(), _reciprocal(*y, self.d), self.d)
 
     def __rtruediv__(self, other):
-        other = _as_exact(other)
-        if isinstance(other, (Fraction, Surd)):
-            return other * self._inverse()
-        return NotImplemented
+        y = self._field_view(other)
+        if y is None:
+            return NotImplemented
+        return _product(y, _reciprocal(*self._view(), self.d), self.d)
+
+    def _view(self):
+        return self.a, self.b, self.c
 
     # -- predicates ---------------------------------------------------
 
@@ -240,6 +222,23 @@ class Surd:
 
 
 ExactNumber = Union[Fraction, Surd]
+_OPERANDS = (int, Fraction, Surd)
+
+
+def _product(x, y, d: int) -> ExactNumber:
+    """x*y for views x = (a, b, c) and y over one radicand d; c may be negative."""
+    xa, xb, xc = x
+    ya, yb, yc = y
+    return surd(xa * ya + xb * yb * d, xa * yb + xb * ya, d, xc * yc)
+
+
+def _reciprocal(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """1/x = c*(a - b*sqrt(d))/(a^2 - b^2*d) for x = (a + b*sqrt(d))/c.  The
+    norm vanishes only at x = 0; the returned denominator may be negative."""
+    norm = a * a - b * b * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero")
+    return a * c, -b * c, norm
 
 
 def _as_exact(x):
@@ -348,9 +347,10 @@ def solve_quadratic(c2: int, c1: int, c0: int) -> tuple:
         return ()
     if disc == 0:
         return (Fraction(-c1, 2 * c2),)
-    r1 = surd(-c1, -1, disc, 2 * c2)
-    r2 = surd(-c1, 1, disc, 2 * c2)
-    return (r1, r2) if compare_exact(r1, r2) < 0 else (r2, r1)
+    minus = surd(-c1, -1, disc, 2 * c2)
+    plus = surd(-c1, 1, disc, 2 * c2)
+    # plus - minus = sqrt(disc)/c2, so the sign of c2 orders the roots
+    return (minus, plus) if c2 > 0 else (plus, minus)
 
 
 def _mobius_entries(m) -> tuple[int, int, int, int]:
@@ -385,10 +385,10 @@ def rational_between(lo, hi) -> Fraction:
     interval gets past denominator 2**64, so the emptiness test runs there
     and nowhere else.
     """
+    a, b, c, d = _surd_parts(lo)
     k = 1
     while True:
-        n = floor_exact(_as_exact(lo) * k) + 1
-        q = Fraction(n, k)
+        q = Fraction(_floor_linear_surd(a * k, b * k, d, c) + 1, k)  # floor(lo*k) + 1
         if compare_exact(q, hi) < 0 and compare_exact(lo, q) < 0:
             return q
         k *= 2
@@ -458,10 +458,8 @@ def _int_str(n: int) -> str:
 
 def format_exact(x) -> str:
     """Canonical text form: "p/q" (or bare integer) and "(a+b*sqrt(d))/c"."""
-    x = _as_exact(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return _int_str(x.numerator)
-        return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
-    sign = "+" if x.b >= 0 else ""
-    return f"({_int_str(x.a)}{sign}{_int_str(x.b)}*sqrt({_int_str(x.d)}))/{_int_str(x.c)}"
+    a, b, c, d = _surd_parts(x)
+    if b:
+        sign = "+" if b > 0 else ""
+        return f"({_int_str(a)}{sign}{_int_str(b)}*sqrt({_int_str(d)}))/{_int_str(c)}"
+    return _int_str(a) if c == 1 else f"{_int_str(a)}/{_int_str(c)}"

@@ -485,7 +485,7 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     t0, s0 = alpha.numerator, alpha.denominator
     if (t0 + s0) % n == 0:
         return Obstruction(False, "N divides t0 + s0")
-    if t0 % n == 0 and any(n % q == 0 for q in range(2, n)):
+    if t0 % n == 0 and any(n % q == 0 for q in range(2, math.isqrt(n) + 1)):
         return Obstruction(False, "N divides t0 and N is composite")
     ds = digit_set(p)
 

@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import nacf.cli
 from conftest import random_params, random_rational_in, random_surd_in
 from nacf.cli import main
 from nacf.exact import format_exact, parse_exact, surd
@@ -366,6 +370,37 @@ def test_settings_exit_two_whatever_sets_them(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NACF_CONFIG", str(missing))
     assert run(capsys, *orbit) == (
         2, "", f"error: cannot read config file {missing}: No such file or directory\n")
+
+
+def test_config_file_mistakes_exit_two_and_name_the_file(tmp_path, capsys):
+    cfg = tmp_path / "nacf.conf"
+    keys = "budget, format, precision, alpha_min"
+    cases = [("precison = 3\n", f"line 1: expected key = value with a key in {keys}, "
+                                 "got 'precison = 3'"),
+             ("\n# note\nbudget 5\n", f"line 3: expected key = value with a key in {keys}, "
+                                       "got 'budget 5'"),
+             ("budget = x\n", "bad budget value 'x'"),
+             ("precision = 4.5\n", "bad precision value '4.5'"),
+             ("alpha_min = 0.1\n", "bad alpha_min value '0.1'")]
+    for text, message in cases:
+        cfg.write_text(text)
+        sep = "," if message.startswith("line") else ":"
+        assert run(capsys, "--config", str(cfg), "kset", "--N", "5") == (
+            2, "", f"error: config file {cfg}{sep} {message}\n"), text
+
+
+def test_closed_stdout_ends_quietly():
+    # about 0.8 MB of rows, more than any pipe buffer, so the write after
+    # the reader leaves fails whether or not stdout is buffered
+    src = os.path.dirname(os.path.dirname(nacf.cli.__file__))
+    with subprocess.Popen(
+            [sys.executable, "-m", "nacf.cli", "kset", "--N", "2", "--alpha-min", "1/10000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.readline() == b"N,lo,hi,in_K,digit_lo,digit_hi\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_outputs_reparse_to_exact_values(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import approx_bounds, interval_compare, random_exact, random_surd
+from conftest import (approx_bounds, interval_compare, random_exact,
+                      random_fraction, random_surd)
 from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
                         format_exact, integer_sqrt, parse_exact,
@@ -98,16 +99,54 @@ def test_surd_arith_dispatch():
         surd_arith(root2, root2, "%")
 
 
+_OPERATORS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+              "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
 def test_mixed_radicands_rejected():
+    x, y = surd(0, 1, 2), surd(1, 1, 5)
+    for op in _OPERATORS.values():
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(MixedRadicands):
+                op(u, v)
     with pytest.raises(MixedRadicands):
-        surd(0, 1, 2) + surd(0, 1, 3)
+        x.__rsub__(y)
     with pytest.raises(MixedRadicands):
-        surd(0, 1, 2) * surd(1, 1, 5)
+        x.__rtruediv__(y)
 
 
 def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        surd(0, 1, 2) / Fraction(0)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            surd(0, 1, 2) / zero
+    assert Fraction(0) / surd(0, 1, 2) == 0 == 0 / surd(0, 1, 2)
+    for other in (1.5, "1"):
+        for op in _OPERATORS.values():
+            with pytest.raises(TypeError):
+                op(surd(0, 1, 2), other)
+            with pytest.raises(TypeError):
+                op(other, surd(0, 1, 2))
+
+
+def _q2(x, d):
+    # x as (r0, r1) in Q^2 with x = r0 + r1*sqrt(d)
+    if isinstance(x, Surd):
+        assert x.d == d
+        return Fraction(x.a, x.c), Fraction(x.b, x.c)
+    return Fraction(x), Fraction(0)
+
+
+def _q2_reference(op, x, y, d):
+    # the field operations of Q(sqrt(d)) on pairs, with Fraction arithmetic only
+    (x0, x1), (y0, y1) = x, y
+    if op == "/":
+        norm = y0 * y0 - y1 * y1 * d
+        op, y0, y1 = "*", y0 / norm, -y1 / norm
+    if op == "+":
+        return x0 + y0, x1 + y1
+    if op == "-":
+        return x0 - y0, x1 - y1
+    return x0 * y0 + x1 * y1 * d, x0 * y1 + x1 * y0
 
 
 def test_field_laws_same_radicand():
@@ -125,6 +164,20 @@ def test_field_laws_same_radicand():
         assert x * (y + z) == x * y + x * z
         if isinstance(y, Surd):
             assert (x / y) * y == x
+    # every operator, both operand orders, against the Q^2 reference
+    rng = random.Random(33)
+    for _ in range(1_000):
+        x = random_surd(rng)
+        y = rng.choice((rng.randint(-5, 5), random_fraction(rng),
+                        surd(rng.randint(-30, 30), rng.randint(-30, 30), x.d,
+                             rng.randint(1, 30))))
+        for u, v in ((x, y), (y, x)):
+            for name, op in _OPERATORS.items():
+                if name == "/" and v == 0:
+                    continue
+                got = op(u, v)
+                assert isinstance(got, (Fraction, Surd))
+                assert _q2(got, x.d) == _q2_reference(name, _q2(u, x.d), _q2(v, x.d), x.d)
 
 
 def test_floor_examples():
@@ -224,6 +277,15 @@ def test_solve_quadratic_shapes():
     assert solve_quadratic(1, -2, 1) == (Fraction(1),)
     roots = solve_quadratic(1, 0, -2)
     assert roots == (surd(0, -1, 2), surd(0, 1, 2))
+    # a negative leading coefficient swaps which sign of sqrt(disc) is lower
+    assert solve_quadratic(-1, 0, 2) == roots
+    assert solve_quadratic(-2, 1, 3) == (Fraction(-1), Fraction(3, 2))  # disc = 25
+    rng = random.Random(9)
+    for _ in range(300):
+        c2, c1, c0 = (rng.randint(-20, 20) for _ in range(3))
+        roots = solve_quadratic(c2, c1, c0) if c2 or c1 else ()
+        assert all(compare_exact(r, s) < 0 for r, s in zip(roots, roots[1:]))
+        assert all(c2 * r * r + c1 * r + c0 == 0 for r in roots)
     with pytest.raises(DegenerateEquation):
         solve_quadratic(0, 0, 5)
 
@@ -315,6 +377,11 @@ def test_rational_between():
             a, b = b, a
         q = rational_between(a, b)
         assert compare_exact(a, q) < 0 < compare_exact(b, q)
+        # floor(lo*k) + 1 over the first k = 2^i that fits
+        k = 1
+        while not a < Fraction(floor_exact(a * k) + 1, k) < b:
+            k *= 2
+        assert q == Fraction(floor_exact(a * k) + 1, k)
 
 
 def test_rational_between_rejects_empty_intervals():

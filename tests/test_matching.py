@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -224,6 +228,10 @@ def test_obstruction_examples():
     assert not no_matching_obstruction(Fraction(1, 8), 2).holds
     assert no_matching_obstruction(Fraction(15, 8), 9).holds
     assert not no_matching_obstruction(Fraction(9, 8), 9).holds  # 9 | t0, composite
+    # a prime square is composite; its one factor sits at isqrt(N)
+    for n, q in ((25, 7), (49, 9), (121, 13), (169, 15)):
+        assert str(no_matching_obstruction(Fraction(n, q), n)) == (
+            "HypothesesFail: N divides t0 and N is composite")
     # every digit is coprime with N, but T(alpha) = alpha + 1 (alpha = 1, a
     # cut point) or T(alpha + 1) = alpha (3 = alpha + 1 shares 3 with N = 9,
     # 5 shares 5 with N = 25), a match in one step
@@ -238,6 +246,20 @@ def test_obstruction_examples():
     # alpha + 1 could reach 3/2 through 2; the certificate declines
     assert str(no_matching_obstruction(Fraction(10, 9), 5)) == (
         "HypothesesFail: congruence escape at step 0")
+
+
+def test_obstruction_at_a_large_prime_n():
+    # N = 10^9 + 7 divides t0, so N is tested for compositeness; trial
+    # division up to sqrt(N) answers in well under the timeout, up to N not
+    src = os.path.dirname(os.path.dirname(nacf.matching.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nacf.cli", "--format", "json", "match",
+         "--N", "1000000007", "--alpha", "1000000007/31624"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (3, "")
+    certificate = {"holds": True, "reason": "digits coprime with N; early N-divisible steps cleared"}
+    assert json.loads(proc.stdout)["certificates"] == [certificate]
 
 
 def test_obstruction_steps_each_endpoint_to_its_first_coprime_value(monkeypatch):
