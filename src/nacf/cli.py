@@ -42,6 +42,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+class _Unbuilt:
+    """Stands in for the parser of a subcommand that argv does not name.
+    argparse parses only with the parser whose name is an argv token, and the
+    top-level usage, help and "invalid choice" lines read just the names and
+    help strings, so nothing ever reads this object."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    def add_mutually_exclusive_group(self, **kwargs):
+        return self
+
+    def set_defaults(self, **kwargs):
+        pass
+
+
 def _exact(text):
     try:
         return parse_exact(text)
@@ -217,9 +233,11 @@ def _cmd_verify(args, cfg):
     if len(args.k) > VERIFY_K_VALUES_MAX:
         raise ValueError(f"verify takes at most {VERIFY_K_VALUES_MAX} k values, "
                          f"got {len(args.k)}")
-    k = max(args.k, key=abs)
-    if abs(k) > VERIFY_K_MAX:
-        raise ValueError(f"verify needs |k| <= {VERIFY_K_MAX}, got {k}")
+    lo, hi = min(args.k), max(args.k)
+    if lo < 0:  # the closed-form families are defined for k >= 0
+        raise ValueError(f"verify needs k >= 0, got {lo}")
+    if hi > VERIFY_K_MAX:
+        raise ValueError(f"verify needs |k| <= {VERIFY_K_MAX}, got {hi}")
     fams = ["i", "ii", "iii", "iv"] if args.family == "all" else [args.family]
     matrices_only = args.what == "table"
     failed = 0
@@ -234,12 +252,21 @@ def _cmd_verify(args, cfg):
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The nacf parser.  Given the argv it is to parse, only the subcommands
+    named in argv get a real parser; with no argv every subcommand does."""
+    named = None if argv is None else set(argv)
+
+    def subparser(**kwargs):  # kwargs["prog"] is "nacf <name>"
+        if named is None or kwargs["prog"].rpartition(" ")[2] in named:
+            return _Parser(**kwargs)
+        return _Unbuilt()
+
     top = _Parser(prog="nacf", description=__doc__)
     top.add_argument("--config", help="path to a key=value config file")
     top.add_argument("--format", choices=FORMATS)
     top.add_argument("--precision", type=int)
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     sp = sub.add_parser("expand", help="first digits of an expansion")
     sp.add_argument("--x", type=_exact, required=True)
@@ -297,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -323,6 +323,8 @@ def digit_stream(x, p: Params) -> Iterator[int]:
 
 def expand(x, p: Params, n: int) -> DigitWord:
     """First n digits of the expansion of x as a finite word."""
+    if n < 0:
+        raise ValueError(f"expand needs n >= 0, got {n}")
     return DigitWord(tuple(islice(digit_stream(x, p), n)))
 
 

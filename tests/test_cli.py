@@ -38,6 +38,13 @@ def test_expand_bounds_n(capsys):
                              "--n", n)
         assert code == 2 and out == ""
         assert err == f"error: expand needs n <= 50000, got {n}\n"
+    # a negative n is a domain error that names n, not an itertools message
+    for n in ("-1", "-3"):
+        code, out, err = run(capsys, "expand", "--x", "1/3", "--N", "2", "--alpha", "1/3",
+                             "--n", n)
+        assert (code, out, err) == (2, "", f"error: expand needs n >= 0, got {n}\n")
+    assert run(capsys, "expand", "--x", "1/3", "--N", "2", "--alpha", "1/3",
+               "--n", "0") == (0, "[0;]\n", "")
 
 
 def test_expand_json(capsys):
@@ -287,11 +294,15 @@ def test_verify_bounds_the_k_range(capsys):
 
 
 def test_verify_bounds_the_size_of_k(capsys):
-    for k, shown in (("10001", "10001"), ("--k=-20000", "-20000"), ("9990..10001", "10001")):
-        argv = ("verify", k) if k.startswith("--") else ("verify", "--k", k)
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err == f"error: verify needs |k| <= 10000, got {shown}\n"
+    # the closed-form families are defined for k >= 0: a negative k is a
+    # domain error, not an internal one and not a closed-form mismatch
+    for k, message in (("10001", "|k| <= 10000, got 10001"),
+                       ("9990..10001", "|k| <= 10000, got 10001"),
+                       ("-1", "k >= 0, got -1"), ("-20000", "k >= 0, got -20000"),
+                       ("-3..2", "k >= 0, got -3")):
+        for family in ("all", "i", "ii", "iii", "iv"):
+            assert run(capsys, "verify", "--family", family, f"--k={k}") == (
+                2, "", f"error: verify needs {message}\n"), (k, family)
     code, out, _ = run(capsys, "verify", "--table", "--family", "i", "--k", "10000")
     assert code == 0 and out == "family i: 1/1 pass\n"
 
@@ -414,3 +425,60 @@ def test_determinism(capsys):
     a = run(capsys, "--format", "json", "match", "--alpha", "8/43", "--N", "2")
     b = run(capsys, "--format", "json", "match", "--alpha", "8/43", "--N", "2")
     assert a == b
+
+
+SUBCOMMANDS = ("expand", "orbit", "match", "interval", "badrat", "kset",
+               "nomatch-regions", "verify")
+
+
+def test_main_builds_only_the_parser_argv_names(capsys, monkeypatch):
+    built = []
+
+    class Counted(nacf.cli._Parser):
+        def __init__(self, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(nacf.cli, "_Parser", Counted)
+    nacf.cli.build_parser()
+    assert len(built) == 9
+    for name in SUBCOMMANDS:
+        built.clear()
+        assert run(capsys, name, "-h")[0] == 0
+        assert built == ["nacf", f"nacf {name}"]
+    built.clear()
+    assert run(capsys, "expand", "--x", "2/9", "--N", "2", "--alpha", "2/9", "--n", "4") == (
+        0, "[0; 8, 1, 1, 1]\n", "")
+    assert built == ["nacf", "nacf expand"]
+
+
+# help, usage and error bytes that the top-level parser and the named
+# subcommand's parser write
+PARSE_CASES = [["-h"], []] + [[name, "-h"] for name in SUBCOMMANDS] \
+    + [[name] for name in SUBCOMMANDS] + [
+        ["bogus"], ["interv", "--alpha", "2/9"], ["--bogus", "interval", "--alpha", "2/9"],
+        ["match", "--alpha", "1/3", "--N", "2", "--no-such-option"],
+        ["expand", "--x", "1/2"], ["badrat", "--n", "3", "extra"],
+        ["badrat", "--n", "x"], ["orbit", "--x", "0.5", "--N", "2", "--alpha", "1/3"],
+        ["verify", "--family", "v"], ["--format", "xml", "badrat", "--n", "3"],
+        ["kset", "--N", "5", "--n-max", "3"], ["--config", "kset"],
+        ["--form", "json", "badrat", "--n", "3"]]
+
+
+def test_named_parser_writes_the_full_parsers_bytes(capsys, monkeypatch):
+    lazy = [run(capsys, *argv) for argv in PARSE_CASES]
+    full = nacf.cli.build_parser
+    monkeypatch.setattr(nacf.cli, "build_parser", lambda argv=None: full())
+    for argv, got in zip(PARSE_CASES, lazy):
+        assert got == run(capsys, *argv), argv
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    # the path of the nacf console script, which calls main() bare
+    for argv in (["interval", "--alpha", "2/9"], ["badrat", "-h"], ["bogus"],
+                 ["--format", "json", "kset", "--N", "5"]):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["nacf", *argv])
+        code = main()
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected, argv
