@@ -17,9 +17,8 @@ from fractions import Fraction
 from .exact import decimal_str, format_exact, parse_exact
 from .expansion import Params, expand
 from .matching import (BadRational, MatchReport, MismatchDetected,
-                       NoMatchWithinBudget, bad_rational_certificate,
-                       matching_interval, verify_theorem_intervals,
-                       _match_and_interval)
+                       bad_rational_certificate, matching_interval,
+                       verify_theorem_intervals, _match)
 from .orbits import orbit_quadratic, orbit_rational
 from .paramspace import DEFAULT_ALPHA_MIN, emit_kset_plot_data, no_matching_regions
 
@@ -66,7 +65,10 @@ def _exact(text):
 
 
 def _k_range(text):
-    lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+    try:
+        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a k range: {text!r}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty k range: {text!r}")
     return range(lo, hi + 1)
@@ -152,21 +154,23 @@ def _cmd_orbit(args, cfg):
 
 def _cmd_match(args, cfg):
     budget = cfg["budget"]
-    report, mi = _match_and_interval(args.alpha, args.N, budget, min(budget, 64))
+    report, orbits = _match(args.alpha, args.N, budget)
     out = report.to_json()
     out["certificates"] = []
-    if isinstance(mi, BadRational):
-        out["stable_exponents"] = None
-    elif mi is not None:
-        out["stable_exponents"] = [mi.K, mi.L]
-        out["interval"] = mi.interval.to_json()
-        out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
-    elif isinstance(report, NoMatchWithinBudget) and report.obstruction is not None:
+    matched = isinstance(report, MatchReport)
+    if matched and args.N == 2:
+        try:
+            mi = orbits.interval(min(budget, 64))
+        except BadRational:
+            out["stable_exponents"] = None
+        else:
+            out["stable_exponents"] = [mi.K, mi.L]
+            out["interval"] = mi.interval.to_json()
+            out["interval_text"] = _interval_text(mi.interval, cfg["precision"])
+    elif orbits is None:  # the certificate answered
         out["certificates"].append(report.obstruction.to_json())
     _emit(out, cfg["format"])
-    if not isinstance(report, MatchReport):
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return EXIT_OK if matched else EXIT_NEGATIVE
 
 
 def _cmd_interval(args, cfg):

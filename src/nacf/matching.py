@@ -28,9 +28,9 @@ eigenvalues 2 and -1; X ~ B^e means X commutes with B, so X = uI + vB, and
 (u + 2v)/(u - v) = (-2)^e.  At most one e qualifies, so matching_interval
 weighs at most two diagonal heads: D0's, checked directly, and that e's.
 
-Both endpoint orbits and their prefix matrices are held by one
-_EndpointOrbits object, computed once per parameter and shared by every
-check made for that parameter.
+A parameter's endpoint orbits, their prefix matrices, its minimal match
+and that match's diagonal stability are each decided once, on one
+_EndpointOrbits object that match, interval and verify all read.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
@@ -189,30 +190,54 @@ class _Orbit:
         return tuple(map(self.trace.digit_at, range(k)))
 
 
-def _rational_params(alpha, n: int) -> Params:
-    if not isinstance(_as_exact(alpha), Fraction):
-        raise ValueError("matching detection works on rational parameters")
-    return Params(n, alpha)
-
-
 class _EndpointOrbits:
     """The orbits of a rational alpha (``a``) and of alpha + 1 (``b``) over
-    ``count`` steps.
-
-    Built once per parameter; every check made for that parameter reads the
-    same values, digits and prefix matrices, each up to its own budget.
-    """
+    ``count`` steps, each built on first use (the constructor only checks
+    the inputs), and the matching facts read from them: the minimal match
+    and its diagonal's stability, the report, the stable heads and the
+    interval."""
 
     def __init__(self, alpha, n: int, count: int):
-        p = _rational_params(alpha, n)
-        self.alpha, self.N = p.alpha, n
-        self.a = _Orbit(p.alpha, p, count)
-        self.b = _Orbit(p.upper, p, count)
+        if not isinstance(_as_exact(alpha), Fraction):
+            raise ValueError("matching detection works on rational parameters")
+        self.params = Params(n, alpha)
+        if count < 1:
+            raise ValueError("budget must be >= 1")
+        self.alpha, self.N, self.count = self.params.alpha, n, count
+
+    @cached_property
+    def a(self) -> _Orbit:
+        return _Orbit(self.params.alpha, self.params, self.count)
+
+    @cached_property
+    def b(self) -> _Orbit:
+        return _Orbit(self.params.upper, self.params, self.count)
 
     def stability(self, k: int, l: int) -> str:
         if projective_equiv(ADD_ONE @ self.a.matrix(k), self.b.matrix(l)):
             return STABLE
         return UNSTABLE if self.N == 2 else UNKNOWN
+
+    @cached_property
+    def first_match(self) -> Optional[tuple[int, int, str]]:
+        """The minimal matched pair (K, L) in (K+L, K) order and the
+        stability of its diagonal, or None when the orbits do not meet
+        within the build.  Values first occur before the first repeat, so
+        the stored states suffice."""
+        first_a = self.a.trace.first_index
+        best = min(((i + j, i, j) for j, st in enumerate(self.b.trace.states)
+                    if (i := first_a.get(st.value)) is not None), default=None)
+        if best is None:
+            return None
+        _, k, l = best
+        return k, l, self.stability(k, l)
+
+    def report(self) -> Union[MatchReport, NoMatchWithinBudget]:
+        """The minimal matched pair within the build's count."""
+        if self.first_match is None:
+            return NoMatchWithinBudget(self.alpha, self.N, self.count)
+        k, l, stable = self.first_match
+        return MatchReport(self.alpha, self.N, k, l, self.a.trace.value_at(k), stable)
 
     def stable_heads(self) -> list[tuple[int, int]]:
         """The head (K, L), K, L >= 1, of each stable diagonal K - L for
@@ -221,14 +246,13 @@ class _EndpointOrbits:
         ta, tb = self.a.trace, self.b.trace
         if PERIODIC in (ta.verdict.kind, tb.verdict.kind):
             raise InvariantViolation("an N = 2 endpoint orbit cycles away from 1")
-        hit = _minimal_match(ta, tb, max(len(ta.states), len(tb.states)))
-        if hit is None:
+        if self.first_match is None:
             return []
-        k, l, _ = hit
-        if k == 0 or l == 0:  # no digit prefix to pin a cylinder with
-            k, l = k + 1, l + 1
-        heads = [(k, l)] if self.stability(k, l) == STABLE else []
-        ka, kb = self.a.trace.one_at, self.b.trace.one_at
+        k, l, stable = self.first_match
+        if k == 0 or l == 0:  # no digit prefix to pin a cylinder with; the
+            k, l = k + 1, l + 1  # shifted head lies on the same diagonal
+        heads = [(k, l)] if stable == STABLE else []
+        ka, kb = ta.one_at, tb.one_at
         if ka is None or kb is None:
             return heads
         y, b1 = ADD_ONE @ self.a.matrix(ka), Mobius.branch(2, 1)
@@ -243,24 +267,27 @@ class _EndpointOrbits:
                 heads.append((k_tail, k_tail - d))
         return heads
 
+    def interval(self, budget: int) -> MatchingInterval:
+        """``matching_interval(alpha, 2, budget)`` for any budget up to the
+        build's count.
 
-def _minimal_match(a, b, budget: int) -> Optional[tuple[int, int, Fraction]]:
-    # Values first occur before the first repeat: stored states suffice.
-    first_a: dict = {}
-    for i, st in enumerate(a.states[:budget + 1]):
-        first_a.setdefault(st.value, i)
-    best = None
-    for j, st in enumerate(b.states[:budget + 1]):
-        i = first_a.get(st.value)
-        if i is None:
-            continue
-        cand = (i + j, i, j)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    _, i, j = best
-    return i, j, a.states[i].value
+        A build longer than ``budget`` finds the same first matched pair
+        whenever it lies within ``budget``, and any stable head it adds lies
+        beyond that budget and is dropped; it can only settle more
+        BadRational cases as ``proved``."""
+        heads = self.stable_heads()
+        first = min(((k + l, k, l) for k, l in heads if max(k, l) <= budget), default=None)
+        if first is None:
+            exc = BadRational(self.alpha, self.N, budget)
+            exc.proved = not heads and None not in (self.a.trace.one_at, self.b.trace.one_at)
+            raise exc
+        _, k, l = first
+        cyl_a = cylinder_interval("alpha", self.a.head(k), self.N)
+        cyl_b = cylinder_interval("alpha_plus_one", self.b.head(l), self.N)
+        interval = cyl_a.intersect(cyl_b)
+        if not interval.contains(self.alpha):
+            raise MismatchDetected("stable pair's interval misses alpha")
+        return MatchingInterval(self.alpha, self.N, k, l, interval)
 
 
 def detect_matching(alpha, n: int, budget: int = 500
@@ -274,44 +301,18 @@ def detect_matching(alpha, n: int, budget: int = 500
     without iterating either orbit.  A miss within the budget carries no
     certificate.
     """
-    return _match_and_interval(alpha, n, budget)[0]
+    return _match(alpha, n, budget)[0]
 
 
-def _match_and_interval(alpha, n: int, budget: int,
-                        interval_budget: Optional[int] = None):
-    """``detect_matching(alpha, n, budget)`` and, for an N = 2 match when
-    ``interval_budget`` (at most ``budget``) is given, ``matching_interval(
-    alpha, 2, interval_budget)`` or the BadRational it raises (else None).
-
-    Both read one build of the endpoint orbits, over ``budget`` steps.  A
-    build longer than ``interval_budget`` finds the same first matched pair
-    whenever it lies within ``interval_budget``, and any stable head it adds
-    lies beyond that budget and is dropped; it can only settle more
-    BadRational cases as ``proved``."""
-    p = _rational_params(alpha, n)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    obs = no_matching_obstruction(p.alpha, n)
+def _match(alpha, n: int, budget: int):
+    """``detect_matching(alpha, n, budget)`` and the endpoint orbits it
+    read, built over ``budget`` steps, or None where the certificate
+    answered without them."""
+    orbits = _EndpointOrbits(alpha, n, budget)
+    obs = no_matching_obstruction(orbits.alpha, n)
     if obs.holds:
-        return NoMatchWithinBudget(p.alpha, n, budget, obs), None
-    orbits = _EndpointOrbits(p.alpha, n, budget)
-    report = _detect_matching(orbits, budget)
-    if interval_budget is None or n != 2 or not isinstance(report, MatchReport):
-        return report, None
-    try:
-        return report, _matching_interval(orbits, interval_budget)
-    except BadRational as exc:
-        return report, exc
-
-
-def _detect_matching(orbits: _EndpointOrbits, budget: int
-                     ) -> Union[MatchReport, NoMatchWithinBudget]:
-    alpha, n = orbits.alpha, orbits.N
-    hit = _minimal_match(orbits.a.trace, orbits.b.trace, budget)
-    if hit is None:
-        return NoMatchWithinBudget(alpha, n, budget)
-    k, l, value = hit
-    return MatchReport(alpha, n, k, l, value, orbits.stability(k, l))
+        return NoMatchWithinBudget(orbits.alpha, n, budget, obs), None
+    return orbits.report(), orbits
 
 
 def stability_check(alpha, n: int, k: int, l: int) -> str:
@@ -321,6 +322,8 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     non-equivalence is conclusive only for N = 2 and is otherwise reported
     as unknown.
     """
+    if k < 0 or l < 0:
+        raise ValueError(f"stability_check needs K, L >= 0, got {k}, {l}")
     orbits = _EndpointOrbits(alpha, n, max(k, l) + 1)
     if orbits.a.trace.value_at(k) != orbits.b.trace.value_at(l):
         raise PrerequisiteNotMet(f"T^{k}(alpha) != T^{l}(alpha+1)")
@@ -411,23 +414,7 @@ def matching_interval(alpha, n: int, budget: int = 40) -> MatchingInterval:
     """
     if n != 2:
         raise ValueError("matching intervals are proof-backed only for N = 2")
-    return _matching_interval(_EndpointOrbits(alpha, n, budget), budget)
-
-
-def _matching_interval(orbits: _EndpointOrbits, budget: int) -> MatchingInterval:
-    heads = orbits.stable_heads()
-    first = min(((k + l, k, l) for k, l in heads if max(k, l) <= budget), default=None)
-    if first is None:
-        exc = BadRational(orbits.alpha, orbits.N, budget)
-        exc.proved = not heads and None not in (orbits.a.trace.one_at, orbits.b.trace.one_at)
-        raise exc
-    _, k, l = first
-    cyl_a = cylinder_interval("alpha", orbits.a.head(k), orbits.N)
-    cyl_b = cylinder_interval("alpha_plus_one", orbits.b.head(l), orbits.N)
-    interval = cyl_a.intersect(cyl_b)
-    if not interval.contains(orbits.alpha):
-        raise MismatchDetected("stable pair's interval misses alpha")
-    return MatchingInterval(orbits.alpha, orbits.N, k, l, interval)
+    return _EndpointOrbits(alpha, n, budget).interval(budget)
 
 
 @dataclass(frozen=True)
@@ -583,8 +570,12 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
 
 
 def equivalence_scan(alpha, n: int, max_k: int, max_l: int) -> list[tuple[int, int]]:
-    """All (K, L) with ADD_ONE*M_K projectively equivalent to M_L."""
-    orbits = _EndpointOrbits(alpha, n, max(max_k, max_l))
+    """All (K, L) with ADD_ONE*M_K projectively equivalent to M_L.
+
+    An empty range gives [] without building either orbit."""
+    orbits = _EndpointOrbits(alpha, n, max(max_k, max_l, 1))
+    if min(max_k, max_l) < 1:
+        return []
     hits = []
     for k in range(1, max_k + 1):
         rma = ADD_ONE @ orbits.a.matrix(k)
@@ -703,11 +694,11 @@ def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyChe
 
     interval = None
     if not matrices_only:
-        det = _detect_matching(orbits, _FAMILY_MATCH_BUDGET)
+        det = orbits.report()
         if not isinstance(det, MatchReport) or (det.K, det.L) != forms["point_exponents"]:
             failures.append("point-match exponents")
         try:
-            mi = _matching_interval(orbits, max(kk, ll) + 8)
+            mi = orbits.interval(max(kk, ll) + 8)
         except (BadRational, EmptyInterval, MismatchDetected) as exc:
             failures.append(f"matching interval ({exc})")
         else:

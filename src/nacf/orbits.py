@@ -110,9 +110,14 @@ class OrbitTrace:
         return [st.value for st in self.states]
 
     @cached_property
+    def first_index(self) -> dict:
+        """The first stored index of each value."""
+        return {st.value: i for i, st in reversed(tuple(enumerate(self.states)))}
+
+    @property
     def one_at(self) -> Optional[int]:
         """The first stored index whose value is 1, if any."""
-        return next((i for i, st in enumerate(self.states) if st.value == 1), None)
+        return self.first_index.get(1)
 
     def json_lines(self) -> Iterator[str]:
         """Each state as one JSON line, byte-identical to ``json.dumps`` of

@@ -128,17 +128,34 @@ def test_orbit_reads_integers_past_the_str_digit_limit(capsys):
 
 
 def test_match_builds_the_endpoint_orbits_once(capsys, monkeypatch):
+    # an N = 2 match builds each endpoint orbit once and decides its minimal
+    # match's stability once, at any budget; where the congruence
+    # certificate answers, no orbit is built at all
     import nacf.matching as matching
-    starts = []
+    starts, equivalences = [], []
+    projective_equiv = matching.projective_equiv
 
     def counted(x, p, budget=1000):
         starts.append(x)
         return orbit_rational(x, p, budget)
 
+    def counted_equiv(m1, m2):
+        equivalences.append((m1, m2))
+        return projective_equiv(m1, m2)
+
     monkeypatch.setattr(matching, "orbit_rational", counted)
-    code, out, _ = run(capsys, "--format", "json", "match", "--alpha", "2/9", "--N", "2")
-    assert code == 0 and json.loads(out)["stable_exponents"] == [3, 5]
-    assert starts == [Fraction(2, 9), Fraction(11, 9)]
+    monkeypatch.setattr(matching, "projective_equiv", counted_equiv)
+    for budget in ((), ("--budget", "40")):
+        starts.clear()
+        equivalences.clear()
+        code, out, _ = run(capsys, "--format", "json", "match", "--alpha", "2/9", "--N", "2",
+                           *budget)
+        assert code == 0 and json.loads(out)["stable_exponents"] == [3, 5]
+        assert starts == [Fraction(2, 9), Fraction(11, 9)] and len(equivalences) == 1
+    starts.clear()
+    code, out, _ = run(capsys, "--format", "json", "match", "--alpha", "6/5", "--N", "5")
+    assert code == 3 and json.loads(out)["certificates"][0]["holds"]
+    assert starts == []
 
 
 def test_match_reports_stable_exponents(capsys):
@@ -264,6 +281,11 @@ def test_verify_rejects_an_empty_k_range(capsys):
     code, out, err = run(capsys, "verify", "--k", "5..2")
     assert code == 1 and out == ""
     assert err.startswith("usage: nacf verify")
+    # text that is no integer and no lo..hi range is named as such
+    for text in ("a", "1..b", "1..2..3"):
+        code, out, err = run(capsys, "verify", "--k", text)
+        assert code == 1 and out == "" and err.startswith("usage: nacf verify")
+        assert err.splitlines()[-1] == f"nacf verify: error: argument --k: not a k range: '{text}'"
 
 
 def test_parse_errors_say_which_argument_is_wrong(capsys):

@@ -28,8 +28,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            detect_matching, equivalence_scan,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
-                           verify_theorem_intervals, _EndpointOrbits,
-                           _detect_matching)
+                           verify_theorem_intervals, _EndpointOrbits)
 from nacf.orbits import PERIODIC, InvariantViolation, orbit_rational
 
 
@@ -48,6 +47,10 @@ def test_detect_matching_examples():
 
     rep = detect_matching(Fraction(1, 8), 2)
     assert (rep.K, rep.L) == (1, 4)
+
+    # K + L orders the pairs first: (2, 182) matches too, with a smaller K
+    rep = detect_matching(Fraction(36, 55), 3)
+    assert (rep.K, rep.L, rep.matched_value, rep.stable) == (3, 3, Fraction(23, 17), STABLE)
 
     miss = detect_matching(Fraction(6, 5), 5, budget=300)
     assert isinstance(miss, NoMatchWithinBudget)
@@ -97,6 +100,9 @@ def test_stability_examples():
 def test_stability_prerequisite():
     with pytest.raises(PrerequisiteNotMet):
         stability_check(Fraction(2, 9), 2, 1, 1)
+    for k, l in ((-1, 5), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError, match=f"stability_check needs K, L >= 0, got {k}, {l}"):
+            stability_check(Fraction(2, 9), 2, k, l)
 
 
 def test_stability_above_two_never_unstable():
@@ -204,7 +210,7 @@ def test_matching_persists_inside_interval():
             assert iterate(alpha, p, mi.K) == iterate(alpha + 1, p, mi.L)
 
 
-def test_bad_rational_certificates():
+def test_bad_rational_certificates(monkeypatch):
     cert = bad_rational_certificate(3)
     assert cert.valid
     assert cert.rm == Mobius(1, 17, 1, 15)
@@ -220,6 +226,11 @@ def test_bad_rational_certificates():
 
     with pytest.raises(ValueError):
         bad_rational_certificate(2)
+
+    # an empty range of exponents holds no pair, and builds no orbit
+    monkeypatch.setattr(nacf.matching, "orbit_rational", None)
+    for max_k, max_l in ((0, 0), (0, 30), (30, 0), (-1, 5)):
+        assert equivalence_scan(Fraction(1, 8), 2, max_k, max_l) == []
 
 
 def test_obstruction_examples():
@@ -318,9 +329,8 @@ def test_obstruction_means_no_match(params):
     alpha, n = params
     obs = no_matching_obstruction(alpha, n)
     assume(obs.holds)
-    scanned = _detect_matching(_EndpointOrbits(alpha, n, 400), 400)
-    assert isinstance(scanned, NoMatchWithinBudget) and scanned.obstruction is None
-    assert detect_matching(alpha, n, 400) == dataclasses.replace(scanned, obstruction=obs)
+    assert _EndpointOrbits(alpha, n, 400).first_match is None
+    assert detect_matching(alpha, n, 400) == NoMatchWithinBudget(alpha, n, 400, obs)
 
 
 def test_family_iii_closed_forms_break_at_four():
@@ -631,6 +641,8 @@ def test_family_check_computes_each_endpoint_orbit_once(monkeypatch):
     assert check.ok
     alpha = Fraction(2, 9)
     assert calls[alpha] == 1 and calls[alpha + 1] == 1
+    # one decision for the closed-form matrices, one for the minimal match
+    assert calls["projective_equiv"] == 2
 
 
 def test_match_cost_does_not_grow_with_the_budget(monkeypatch, capsys):
