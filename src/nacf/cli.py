@@ -33,6 +33,7 @@ BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limi
 VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
 VERIFY_K_MAX = 10_000  # a family check's surd radicands grow like k^2
 EXPAND_N_MAX = 50_000  # the word is held in memory; its digits grow with n
+ORBIT_BUDGET_MAX = 20_000  # its integers grow with each step: 176 MB of output at 20 000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,8 +140,10 @@ def _cmd_expand(args, cfg):
 
 
 def _cmd_orbit(args, cfg):
-    p = Params(args.N, args.alpha)
     budget = cfg["budget"]
+    if budget > ORBIT_BUDGET_MAX:
+        raise ValueError(f"orbit needs budget <= {ORBIT_BUDGET_MAX}, got {budget}")
+    p = Params(args.N, args.alpha)
     if args.quadratic or not isinstance(args.x, Fraction):
         trace = orbit_quadratic(args.x, p, budget)
     else:

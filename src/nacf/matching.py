@@ -223,10 +223,10 @@ class _EndpointOrbits:
         """The minimal matched pair (K, L) in (K+L, K) order and the
         stability of its diagonal, or None when the orbits do not meet
         within the build.  Values first occur before the first repeat, so
-        the stored states suffice."""
+        the stored values suffice."""
         first_a = self.a.trace.first_index
-        best = min(((i + j, i, j) for j, st in enumerate(self.b.trace.states)
-                    if (i := first_a.get(st.value)) is not None), default=None)
+        best = min(((i + j, i, j) for j, v in enumerate(self.b.trace.values())
+                    if (i := first_a.get(v)) is not None), default=None)
         if best is None:
             return None
         _, k, l = best

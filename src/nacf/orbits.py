@@ -13,17 +13,27 @@ implies rt*s = t*rs, and checking it costs two big-by-small products once
 the orbit turns coprime with N, where every later gcd is 1.
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
+
+An orbit builds no object per step: its trace keeps the states as columns
+of plain values (see :class:`OrbitTrace`), and ``states`` is a view built
+on first read.  :meth:`OrbitTrace.json_lines` prints the integers from an
+exact Decimal shadow of the raw recurrence, because Decimal's str is linear
+in the digits where int's is quadratic, and checks the shadow's last value
+against the integer orbit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Optional
 
-from .exact import Surd, compare_exact, format_exact, _as_exact, _int_str
+from .exact import Surd, compare_exact, format_exact, _as_exact
 from .expansion import OutOfDomain, Params, all_digits_coprime, step, _rational_digit
 
 
@@ -82,13 +92,21 @@ class QuadCoeffState:
 class OrbitTrace:
     """An orbit stored as a lasso: the states x_0..x_r and digits d_1..d_r up
     to the first repeated value (or the budget), read modulo the cycle
-    beyond that point."""
+    beyond that point.
+
+    The states are kept as columns, one entry per state.  ``points`` holds
+    the key that cycle detection uses: the reduced pair (t, s) of a
+    rational point, or the surd of a quadratic one.  A rational trace adds
+    ``cofs`` (the raw pair is cof times the reduced pair), a quadratic one
+    ``coeffs``, the (A, B, C, root_sign) of each state."""
 
     kind: str  # "rational" | "quadratic"
     params: Params
     digits: tuple[int, ...]
-    states: tuple
     verdict: Verdict
+    points: tuple
+    cofs: tuple[int, ...] = ()
+    coeffs: tuple[tuple[int, int, int, int], ...] = ()
 
     def _lasso_index(self, k: int, stored: int) -> int:
         if 0 <= k < stored:
@@ -98,53 +116,109 @@ class OrbitTrace:
             raise IndexError(f"step {k} lies beyond the orbit's budget")
         return v.pre_period + (k - v.pre_period) % v.period
 
+    @cached_property
+    def _values(self) -> tuple:
+        if self.kind == "rational":
+            return tuple(_lowest_terms(t, s) for t, s in self.points)
+        return self.points
+
     def value_at(self, k: int):
         """The point x_k, 0-based like the states."""
-        return self.states[self._lasso_index(k, len(self.states))].value
+        return self._values[self._lasso_index(k, len(self.points))]
 
     def digit_at(self, k: int) -> int:
         """The digit d_{k+1} that x_k emits, 0-based like DigitWord.digit_at."""
         return self.digits[self._lasso_index(k, len(self.digits))]
 
     def values(self) -> list:
-        return [st.value for st in self.states]
+        return list(self._values)
 
     @cached_property
     def first_index(self) -> dict:
         """The first stored index of each value."""
-        return {st.value: i for i, st in reversed(tuple(enumerate(self.states)))}
+        return {v: i for i, v in reversed(tuple(enumerate(self._values)))}
 
     @property
     def one_at(self) -> Optional[int]:
         """The first stored index whose value is 1, if any."""
         return self.first_index.get(1)
 
+    @cached_property
+    def states(self) -> tuple:
+        """The states as objects, built from the columns on first read."""
+        if self.kind == "rational":
+            return tuple(RationalOrbitState(i, cof * t, cof * s, v) for i, ((t, s), cof, v)
+                         in enumerate(zip(self.points, self.cofs, self._values)))
+        return tuple(QuadCoeffState(i, *abcs, x)
+                     for i, (abcs, x) in enumerate(zip(self.coeffs, self.points)))
+
     def json_lines(self) -> Iterator[str]:
         """Each state as one JSON line, byte-identical to ``json.dumps`` of
         its fields with ``sort_keys=True`` (digit null on the last state).
 
-        Lines are rendered straight from the integers, and each integer is
-        converted to decimal once: the raw s_n is t_{n-1}, a value already in
-        lowest terms is the raw pair again, and A_n is C_{n-1}.
+        The integers come from a shadow of the raw recurrence in
+        ``decimal.Decimal``, run from the first state over the digits
+        column: t' = N*s - d*t with s' = t for a rational orbit, and the
+        triple recurrence of :func:`orbit_quadratic` for a quadratic one.
+        Decimal's str is linear in the digits, where int's is quadratic, so
+        no raw integer goes through int's str (a quadratic point's value is
+        still written by format_exact).  Each block of lines is computed
+        inside ``localcontext`` of an exact context (Inexact and Rounded
+        trapped) and yielded outside it, so the caller never runs in that
+        context.  A reduced value is the raw pair divided by cof with ``//``.
+        After the last line the shadow's last t (or triple) must equal the
+        integer orbit's, or InvariantViolation is raised.
         """
-        last, text = None, ""  # the previous state's t (or C) and its digits
-        for i, st in enumerate(self.states):
-            d = self.digits[i] if i < len(self.digits) else "null"
-            if self.kind == "rational":
-                s = text if st.s == last else _int_str(st.s)
-                last, text = st.t, _int_str(st.t)
-                v = st.value
-                if (v.numerator, v.denominator) != (st.t, st.s):
-                    value = format_exact(v)
-                else:
-                    value = text if st.s == 1 else f"{text}/{s}"
-                yield (f'{{"digit": {d}, "n": {st.index}, "s": {s}, "t": {text}, '
-                       f'"value": "{value}"}}')
+        lines = self._rational_lines() if self.kind == "rational" else self._quadratic_lines()
+        while True:
+            with localcontext(_EXACT):
+                block = list(islice(lines, _BLOCK))
+            yield from block
+            if len(block) < _BLOCK:
+                return
+
+    def _rational_lines(self) -> Iterator[str]:
+        # the raw s_n is t_{n-1}, so each line converts one new integer;
+        # x_0 is in lowest terms, so cof_0 = 1 and its raw pair is points[0]
+        n, digits = Decimal(self.params.N), self.digits
+        t, s = map(Decimal, self.points[0])
+        s_text = str(s)
+        for i, ((_, den), cof) in enumerate(zip(self.points, self.cofs)):
+            t_text = str(t)
+            if cof == 1:
+                value = t_text if den == 1 else f"{t_text}/{s_text}"
             else:
-                a = text if st.A == last else _int_str(st.A)
-                last, text = st.C, _int_str(st.C)
-                yield (f'{{"A": {a}, "B": {_int_str(st.B)}, "C": {text}, "digit": {d}, '
-                       f'"n": {st.index}, "value": "{format_exact(st.value)}"}}')
+                value = str(t // cof) if den == 1 else f"{t // cof}/{s // cof}"
+            d = digits[i] if i < len(digits) else "null"
+            yield f'{{"digit": {d}, "n": {i}, "s": {s_text}, "t": {t_text}, "value": "{value}"}}'
+            if i < len(digits):
+                t, s = n * s - d * t, t
+            s_text = t_text
+        if t != self.cofs[-1] * self.points[-1][0]:
+            raise InvariantViolation("decimal shadow disagrees with the integer orbit")
+
+    def _quadratic_lines(self) -> Iterator[str]:
+        # A_n is C_{n-1}, so each line converts two new integers
+        n, digits = Decimal(self.params.N), self.digits
+        a, b, c = map(Decimal, self.coeffs[0][:3])
+        a_text = str(a)
+        for i, x in enumerate(self.points):
+            c_text = str(c)
+            d = digits[i] if i < len(digits) else "null"
+            yield (f'{{"A": {a_text}, "B": {b!s}, "C": {c_text}, "digit": {d}, '
+                   f'"n": {i}, "value": "{format_exact(x)}"}}')
+            if i < len(digits):
+                a, b, c = c, n * b + 2 * d * c, n * n * a + n * b * d + c * d * d
+            a_text = c_text
+        if (a, b, c) != self.coeffs[-1][:3]:
+            raise InvariantViolation("decimal shadow disagrees with the integer orbit")
+
+
+# Integer arithmetic in Decimal that raises instead of rounding; at MAX_PREC
+# an inexact division would ask for MAX_PREC digits, so only // is used
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+_BLOCK = 256  # lines computed per entry into the exact context
 
 
 def _lowest_terms(t: int, s: int) -> Fraction:
@@ -160,7 +234,7 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
 
     Raw (t, s) follow the recurrence t' = N*s - d*t, s' = t from the same
     digits, and are checked at every step to be cof times the reduced pair;
-    states record the raw pair and the reduced value.  The verdict
+    the trace keeps the digits, the reduced pairs and cof.  The verdict
     reports (pre-period, period) of the first repeated reduced value, a
     special kind when the detected cycle is the fixed point 1, or budget
     exhaustion.
@@ -173,34 +247,37 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
+    N = p.N
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
     cof = 1                                 # raw = cof * reduced
-    states = [RationalOrbitState(0, rt, rs, Fraction(x))]
     digits: list[int] = []
+    pairs, cofs = [(t, s)], [cof]
     seen = {(t, s): 0}
+    verdict = Verdict(NO_PERIOD)
 
     for n in range(1, budget + 1):
         d = _rational_digit(p, t, s)
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")
-        rt, rs = p.N * rs - d * rt, rt
-        g = math.gcd(p.N, t)
-        t, s = (p.N * s - d * t) // g, t // g
+        rt, rs = N * rs - d * rt, rt
+        g = math.gcd(N, t)
+        t, s = (N * s - d * t) // g, t // g
         cof *= g
         if rt != cof * t or rs != cof * s:
             raise InvariantViolation("raw recurrence disagrees with reduced value")
         digits.append(d)
-        states.append(RationalOrbitState(n, rt, rs, _lowest_terms(t, s)))
         key = (t, s)
+        pairs.append(key)
+        cofs.append(cof)
         if key in seen:
             i = seen[key]
             kind = REACHED_ONE if (t, s) == (1, 1) and n - i == 1 else PERIODIC
             verdict = Verdict(kind, i, n - i)
-            return OrbitTrace("rational", p, tuple(digits), tuple(states), verdict)
+            break
         seen[key] = n
 
-    return OrbitTrace("rational", p, tuple(digits), tuple(states), Verdict(NO_PERIOD))
+    return OrbitTrace("rational", p, tuple(digits), verdict, tuple(pairs), cofs=tuple(cofs))
 
 
 def quad_coefficients(x: Surd) -> tuple[int, int, int]:
@@ -233,9 +310,10 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     nn, scale = p.N * p.N, 1  # scale = N^(2n), kept running
     x = x0
     # the centre -B/(2A) of the primitive triple is x0.a/x0.c and A > 0
-    states = [QuadCoeffState(0, A, B, C, 1 if x0.b > 0 else -1, x0)]
+    coeffs, points = [(A, B, C, 1 if x0.b > 0 else -1)], [x0]
     digits: list[int] = []
     seen = {x0: 0}
+    verdict = Verdict(NO_PERIOD)
 
     for n in range(1, budget + 1):
         d, x = step(x, p)
@@ -252,24 +330,25 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
         digits.append(d)
         # the first identity puts the centre -B/(2A) at a/c, so x lies on
         # the side of it that b gives, and the sign of A orients the roots
-        states.append(QuadCoeffState(n, A, B, C, 1 if (b > 0) == (A > 0) else -1, x))
+        coeffs.append((A, B, C, 1 if (b > 0) == (A > 0) else -1))
+        points.append(x)
         if x in seen:
             verdict = Verdict(PERIODIC, seen[x], n - seen[x])
-            return OrbitTrace("quadratic", p, tuple(digits), tuple(states), verdict)
+            break
         seen[x] = n
 
-    return OrbitTrace("quadratic", p, tuple(digits), tuple(states), Verdict(NO_PERIOD))
+    return OrbitTrace("quadratic", p, tuple(digits), verdict, tuple(points), coeffs=tuple(coeffs))
 
 
 def discriminant_check(trace: OrbitTrace) -> bool:
     """Recompute B_n^2 - 4 A_n C_n = N^(2n) (B_0^2 - 4 A_0 C_0) on a trace."""
     if trace.kind != "quadratic":
         raise ValueError("discriminant check applies to quadratic traces")
-    st0 = trace.states[0]
-    disc0 = st0.B * st0.B - 4 * st0.A * st0.C
+    A, B, C, _ = trace.coeffs[0]
+    disc0 = B * B - 4 * A * C
     nn, scale = trace.params.N ** 2, 1  # scale = N^(2 index), kept running
-    for st in trace.states:
-        if st.B * st.B - 4 * st.A * st.C != scale * disc0:
+    for A, B, C, _ in trace.coeffs:
+        if B * B - 4 * A * C != scale * disc0:
             return False
         scale *= nn
     return True
@@ -302,17 +381,17 @@ def divisibility_diagnostics(trace: OrbitTrace, n: int) -> DivisibilityReport:
     """
     if trace.kind != "rational":
         raise ValueError("divisibility diagnostics apply to rational traces")
-    raw = tuple(st.t % n for st in trace.states)
-    reduced = tuple(st.value.numerator % n for st in trace.states)
+    ts = [cof * t for (t, _), cof in zip(trace.points, trace.cofs)]  # raw t_k
+    raw = tuple(t % n for t in ts)
+    reduced = tuple(t % n for t, _ in trace.points)
     common = False
-    for st in trace.states[1:]:
-        g = math.gcd(st.t, st.s)
+    for (t, s), cof in zip(trace.points[1:], trace.cofs[1:]):
+        g = cof * math.gcd(t, s)  # the gcd of the raw pair (cof*t, cof*s)
         while (h := math.gcd(g, n)) > 1:
             g //= h
         if g > 1:
             common = True
             break
-    ts = [st.t for st in trace.states]
     increasing = all(u < v for u, v in zip(ts, ts[1:]))
     return DivisibilityReport(raw, reduced, common, increasing)
 

@@ -47,6 +47,23 @@ def test_expand_bounds_n(capsys):
                "--n", "0") == (0, "[0;]\n", "")
 
 
+def test_orbit_bounds_the_budget(tmp_path, capsys):
+    # an orbit that closes early runs at the bound; past it nothing runs,
+    # whether a flag or the config file sets the budget
+    orbit = ("orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9")
+    code, out, err = run(capsys, *orbit, "--budget", "20000")
+    assert (code, err) == (0, "") and out.endswith("Periodic pre=1 period=1 first-repeat=2\n")
+    cfg = tmp_path / "nacf.conf"
+    for budget in ("20001", "1000000000"):
+        cfg.write_text(f"budget = {budget}\n")
+        message = f"error: orbit needs budget <= 20000, got {budget}\n"
+        assert run(capsys, *orbit, "--budget", budget) == (2, "", message)
+        assert run(capsys, "--config", str(cfg), *orbit) == (2, "", message)
+    # match keeps its own budgets: the congruence certificate answers at once
+    code, out, _ = run(capsys, "--config", str(cfg), "match", "--alpha", "6/5", "--N", "5")
+    assert code == 3 and "budget: 1000000000\n" in out
+
+
 def test_expand_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "expand",
                        "--x", "2/9", "--N", "2", "--alpha", "2/9", "--n", "2")

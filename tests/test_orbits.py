@@ -1,12 +1,16 @@
+import dataclasses
+import decimal
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import random_params, random_rational_in, random_surd_in
-from nacf.exact import compare_exact, surd
+from nacf.exact import compare_exact, format_exact, surd
 from nacf import orbits
 from nacf.expansion import OutOfDomain, Params, expand, step, xi
 from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE, InvariantViolation,
@@ -358,3 +362,104 @@ def test_quadratic_check_catches_a_lost_point(monkeypatch, moved):
         p = random_params(rng)
         with pytest.raises(InvariantViolation, match="coefficient triple lost the orbit point"):
             orbit_quadratic(random_surd_in(p, rng), p, 1)
+
+
+def _state_line(trace, st) -> str:
+    # the fields of one state, rendered by json.dumps from the state objects
+    i = st.index
+    fields = {"n": i, "digit": trace.digits[i] if i < len(trace.digits) else None,
+              "value": format_exact(st.value)}
+    if trace.kind == "rational":
+        fields.update(t=st.t, s=st.s)
+    else:
+        fields.update(A=st.A, B=st.B, C=st.C)
+    return json.dumps(fields, sort_keys=True)
+
+
+def test_json_lines_are_sorted_json_of_the_states():
+    rng = random.Random(67)
+    cases = [(Fraction(7, 6), Params(7, Fraction(11, 10)), 300),    # cof 7 throughout
+             (Fraction(2, 3), Params(2, Fraction(1, 3)), 5),         # raw (2, 2) is 1
+             (Fraction(6, 5), Params(5, Fraction(11, 10)), 600)]     # > 2 blocks of lines
+    for _ in range(150):
+        p = random_params(rng, rng.randint(2, 12))
+        cases.append((random_rational_in(p, rng), p, rng.randint(1, 120)))
+    for _ in range(30):
+        p = random_params(rng, rng.randint(2, 12))
+        cases.append((random_surd_in(p, rng), p, rng.randint(1, 40)))
+    seen = Counter()
+    for x, p, budget in cases:
+        trace = (orbit_rational if isinstance(x, Fraction) else orbit_quadratic)(x, p, budget)
+        assert list(trace.json_lines()) == [_state_line(trace, st) for st in trace.states]
+        seen[trace.kind, trace.verdict.kind] += 1
+        reduced = [(st.value.numerator, st.value.denominator) != (st.t, st.s)
+                   for st in trace.states] if trace.kind == "rational" else []
+        seen["reduced differs"] += any(reduced)
+    assert seen["reduced differs"] >= 10
+    for kind in (PERIODIC, REACHED_ONE, NO_PERIOD):
+        assert seen["rational", kind] >= 5, seen
+    assert seen["quadratic", PERIODIC] >= 1 and seen["quadratic", NO_PERIOD] >= 5, seen
+
+
+@pytest.mark.parametrize("x, p, budget", [
+    (Fraction(6, 5), Params(5, Fraction(11, 10)), 300),
+    (Fraction(7, 6), Params(7, Fraction(11, 10)), 40),
+    (surd(1, 1, 2), Params(9, Fraction(19, 10)), 30),
+], ids=["coprime", "cof-7", "quadratic"])
+def test_json_lines_check_the_shadow_against_the_orbit(x, p, budget):
+    # the printed integers come from the digits column; a digit that the
+    # integer orbit did not take shows at the end check, wherever it sits
+    trace = (orbit_rational if isinstance(x, Fraction) else orbit_quadratic)(x, p, budget)
+    for k in (0, len(trace.digits) // 2, len(trace.digits) - 1):
+        digits = list(trace.digits)
+        digits[k] += 1
+        altered = dataclasses.replace(trace, digits=tuple(digits))
+        with pytest.raises(InvariantViolation, match="decimal shadow disagrees"):
+            list(altered.json_lines())
+
+
+def test_json_lines_leave_the_decimal_context_alone():
+    # the exact context is current only while a block of lines is computed:
+    # the caller runs between lines, and after the last, in its own context
+    ctx = decimal.getcontext()
+    saved = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps))
+    for trace in (orbit_rational(Fraction(6, 5), Params(5, Fraction(11, 10)), 600),
+                  orbit_quadratic(surd(1, 1, 2), Params(9, Fraction(19, 10)), 300)):
+        for _ in trace.json_lines():
+            now = decimal.getcontext()
+            assert now is ctx
+            assert (now.prec, now.Emax, now.Emin, now.rounding, dict(now.traps)) == saved
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps)) == saved
+
+
+def test_columns_hold_the_states():
+    # the raw pair is cof times the reduced pair, and a quadratic state is
+    # its coefficient row and its point
+    p = Params(7, Fraction(11, 10))
+    trace = orbit_rational(Fraction(7, 6), p, 20)
+    assert trace.cofs == (1,) + (7,) * 20
+    for st, (t, s), cof in zip(trace.states, trace.points, trace.cofs):
+        assert (st.t, st.s, st.value) == (cof * t, cof * s, Fraction(t, s))
+    assert trace.values() == [st.value for st in trace.states]
+    qtrace = orbit_quadratic(surd(1, 1, 2), Params(9, Fraction(19, 10)), 10)
+    for st, row, x in zip(qtrace.states, qtrace.coeffs, qtrace.points):
+        assert (st.A, st.B, st.C, st.root_sign, st.value) == (*row, x)
+    # the diagnostics read the columns and agree with the states' fields
+    rng = random.Random(68)
+    for _ in range(40):
+        p = random_params(rng, rng.randint(2, 12))
+        trace = orbit_rational(random_rational_in(p, rng), p, 60)
+        report = divisibility_diagnostics(trace, p.N)
+        ts = [st.t for st in trace.states]
+        assert report.raw_t_residues == tuple(t % p.N for t in ts)
+        assert report.reduced_t_residues == tuple(st.value.numerator % p.N
+                                                  for st in trace.states)
+        assert report.t_strictly_increasing == all(u < v for u, v in zip(ts, ts[1:]))
+        common = False
+        for st in trace.states[1:]:
+            g = math.gcd(st.t, st.s)
+            while math.gcd(g, p.N) > 1:
+                g //= math.gcd(g, p.N)
+            common = common or g > 1
+        assert report.common_prime_found == common
