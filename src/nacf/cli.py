@@ -31,7 +31,7 @@ CONFIG_READERS = {"budget": int, "format": str, "precision": int, "alpha_min": p
 FORMATS = ("text", "json", "csv")
 BADRAT_N_MAX = 10000  # keeps 2^(n+1) inside Python's 4300-digit int-to-str limit
 VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
-VERIFY_K_MAX = 10_000  # a family check's surd radicands grow like k^2
+VERIFY_K_MAX = 10_000  # operands grow with k's digits: a value costs ~170x more at 4200
 EXPAND_N_MAX = 50_000  # the word is held in memory; its digits grow with n
 ORBIT_BUDGET_MAX = 20_000  # its integers grow with each step: 176 MB of output at 20 000
 

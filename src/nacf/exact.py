@@ -6,7 +6,8 @@ Both are read through one integer view, the tuple (a, b, c, d) with c > 0
 and b = d = 0 for a rational.  Arithmetic, comparisons, floors and text
 work on that view, with one formula per operation and the sign and floor
 kernels below.  Floors, comparisons and root selection use
-integer arithmetic only; there is no floating-point on a decision path.
+integer arithmetic only; there is no floating-point on a decision path,
+and no factoring either: only :func:`format_exact` splits a radicand.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain
 from typing import Union
 
 
 class MixedRadicands(ArithmeticError):
-    """Arithmetic between two irrational surds over different radicands."""
+    """Arithmetic between surds over radicands whose product is no square."""
 
 
 class NoRootInRange(ValueError):
@@ -39,42 +40,31 @@ def integer_sqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-_PRIME_LIMIT = 1 << 16
+_SPLIT_LIMIT = 1 << 22  # trial divisors stay below it, so radicands below 2^44 split
 
 
-@lru_cache(maxsize=None)
-def _small_primes(bound: int) -> tuple[int, ...]:
-    """The primes below ``bound``; at most 15 bounds (powers of two) occur."""
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-_SPLIT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_SPLIT_CACHE_SIZE)
+@lru_cache(maxsize=4096)
 def _square_free_split(n: int) -> tuple[int, int]:
-    # n = s*s*f with f squarefree.  Trial division over primes sieved below
-    # the power of two past isqrt(n) (capped at 2^16), continued with odd
-    # candidates in the (rare) case of huge radicands.
-    bound = min(1 << max(2, math.isqrt(n).bit_length()), _PRIME_LIMIT)
-    s, f = 1, 1
-    for p in chain(_small_primes(bound), count(bound + 1, 2)):
-        if p * p > n:
+    # n = s*s*f with f squarefree, to print a surd.  Trial division by 2, 3 and
+    # 6k +- 1 leaves 1 or a prime below 2^44; a larger rest raises ValueError.
+    m, s, f = n, 1, 1
+    for p in chain((2, 3), chain.from_iterable(zip(range(5, _SPLIT_LIMIT, 6),
+                                                   range(7, _SPLIT_LIMIT, 6)))):
+        if p * p > m:
             break
-        if n % p == 0:
+        if m % p == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
                 e += 1
             s *= p ** (e // 2)
             if e % 2:
                 f *= p
-    return s, f * n
+    else:
+        if m >= _SPLIT_LIMIT * _SPLIT_LIMIT:
+            raise ValueError(f"cannot split the radicand {_int_str(n)} to print it: "
+                             "trial division stops at 2^22")
+    return s, f * m
 
 
 def _sign(n) -> int:
@@ -115,11 +105,11 @@ def _sign3(p: int, q: int, d1: int, r: int, d2: int) -> int:
 
 
 class Surd:
-    """Canonical quadratic surd (a + b*sqrt(d))/c.
+    """Quadratic surd (a + b*sqrt(d))/c, d kept as given (not squarefree).
 
-    Instances are always irrational: c > 0, b != 0, d squarefree and not a
-    perfect square, gcd(a, b, c) = 1.  Use :func:`surd` to construct values;
-    it collapses rational cases to ``Fraction``.  Immutable and hashable.
+    Instances are always irrational: c > 0, b != 0, d not a perfect square,
+    gcd(a, b, c) = 1.  Use :func:`surd` to construct values; it collapses
+    rational cases to ``Fraction``.  Immutable; == and hash are the value's.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -139,7 +129,10 @@ class Surd:
             return None
         a, b, c, d = _surd_parts(other)
         if b and d != self.d:
-            raise MixedRadicands(f"sqrt({self.d}) vs sqrt({d})")
+            r = math.isqrt(d * self.d)  # sqrt(d) = r*sqrt(self.d)/self.d when r*r = d*self.d
+            if r * r != d * self.d:
+                raise MixedRadicands(f"sqrt({self.d}) vs sqrt({d})")
+            a, b, c = a * self.d, b * r, c * self.d
         return a, b, c
 
     def __add__(self, other):
@@ -190,13 +183,16 @@ class Surd:
 
     def __eq__(self, other):
         if isinstance(other, Surd):
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            if self.d == other.d:  # one radicand: the reduced views decide
+                return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+            return compare_exact(self, other) == 0
         if isinstance(other, (int, Fraction)):
-            return False  # canonical surds are irrational
+            return False  # a Surd is irrational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        # equal values share the rational part a/c, whatever their radicands
+        return hash(Fraction(self.a, self.c))
 
     def __lt__(self, other):
         return compare_exact(self, other) < 0
@@ -248,10 +244,10 @@ def _as_exact(x):
 
 
 def surd(a: int, b: int, d: int, c: int = 1) -> ExactNumber:
-    """Build (a + b*sqrt(d))/c in canonical form.
+    """Build (a + b*sqrt(d))/c with c > 0 and gcd(a, b, c) = 1.
 
-    Square factors of d are pulled into b, perfect-square radicands collapse
-    the value to a Fraction, c is made positive and gcd(a, b, c) = 1.
+    d is kept as given, square factors and all; a perfect-square d
+    collapses the value to a Fraction.
     """
     if c == 0:
         raise ZeroDivisionError("surd with zero denominator")
@@ -259,14 +255,11 @@ def surd(a: int, b: int, d: int, c: int = 1) -> ExactNumber:
         raise ValueError("negative radicand")
     if c < 0:
         a, b, c = -a, -b, -c
-    if b == 0 or d == 0:
-        return Fraction(a, c)
-    s, f = _square_free_split(d)
-    b *= s
-    if f == 1:
-        return Fraction(a + b, c)
-    g = math.gcd(math.gcd(abs(a), abs(b)), c)
-    return Surd(a // g, b // g, c // g, f)
+    r = math.isqrt(d)
+    if b == 0 or r * r == d:  # d = 0 among the squares
+        return Fraction(a + b * r, c)
+    g = math.gcd(a, b, c)
+    return Surd(a // g, b // g, c // g, d)
 
 
 _OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
@@ -276,8 +269,8 @@ _OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
 def surd_arith(x, y, op: str) -> ExactNumber:
     """Dispatch form of exact arithmetic: op is one of ``+ - * /``.
 
-    Operands must be rationals or surds over the same radicand (or one of
-    them rational); results are normalized ExactNumbers.
+    Operands must be rationals or surds in one field (radicands whose
+    product is a square); results are normalized ExactNumbers.
     """
     if op not in _OPS:
         raise ValueError(f"unknown operation {op!r}")
@@ -457,9 +450,13 @@ def _int_str(n: int) -> str:
 
 
 def format_exact(x) -> str:
-    """Canonical text form: "p/q" (or bare integer) and "(a+b*sqrt(d))/c"."""
+    """Canonical text: "p/q" (or bare integer), "(a+b*sqrt(d))/c" with d squarefree."""
     a, b, c, d = _surd_parts(x)
     if b:
+        s, d = _square_free_split(d)
+        if s > 1:  # a Surd's view is in lowest terms until s joins b
+            g = math.gcd(a, b * s, c)
+            a, b, c = a // g, b * s // g, c // g
         sign = "+" if b > 0 else ""
         return f"({_int_str(a)}{sign}{_int_str(b)}*sqrt({_int_str(d)}))/{_int_str(c)}"
     return _int_str(a) if c == 1 else f"{_int_str(a)}/{_int_str(c)}"

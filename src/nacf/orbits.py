@@ -295,7 +295,8 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     A' = C, B' = N*B + 2*d*C, C' = N^2*A + N*B*d + C*d^2.  At every step the
     recorded triple is cross-checked against the independently iterated surd
     (substitution must give exactly zero) and against the discriminant law
-    disc_n = N^(2n) * disc_0.  Cycle detection runs on the canonical surd.
+    disc_n = N^(2n) * disc_0.  Cycle detection keys on each point's reduced
+    (a, b, c), exact since every point keeps x0's radicand.
     """
     x0 = _as_exact(x0)
     if not isinstance(x0, Surd):
@@ -312,7 +313,7 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     # the centre -B/(2A) of the primitive triple is x0.a/x0.c and A > 0
     coeffs, points = [(A, B, C, 1 if x0.b > 0 else -1)], [x0]
     digits: list[int] = []
-    seen = {x0: 0}
+    seen = {(x0.a, x0.b, x0.c): 0}
     verdict = Verdict(NO_PERIOD)
 
     for n in range(1, budget + 1):
@@ -332,10 +333,10 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
         # the side of it that b gives, and the sign of A orients the roots
         coeffs.append((A, B, C, 1 if (b > 0) == (A > 0) else -1))
         points.append(x)
-        if x in seen:
-            verdict = Verdict(PERIODIC, seen[x], n - seen[x])
+        if (a, b, c) in seen:
+            verdict = Verdict(PERIODIC, seen[a, b, c], n - seen[a, b, c])
             break
-        seen[x] = n
+        seen[a, b, c] = n
 
     return OrbitTrace("quadratic", p, tuple(digits), verdict, tuple(points), coeffs=tuple(coeffs))
 

@@ -8,8 +8,8 @@ matching is obstructed, which yields whole no-matching intervals for odd N.
 The largest and the smallest digit both fall as alpha grows, so the cells
 are one merge of their two breakpoint sequences (see :func:`_walk`), with
 the cuts ordered by integer sign tests alone.  The plot rows are rendered
-from the cuts' integer views and never factor a radicand; :func:`kset`
-builds canonical values from the same walk.
+from the cuts' integer views and :func:`kset` builds its surds from the
+same walk; neither factors a radicand.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def _walk(n: int, alpha_min) -> tuple[list, list]:
 def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell, ...]:
     """Partition (alpha_min, sqrt(N)-1] into half-open digit-set cells.
 
-    The cells of one walk down from the edge (see :func:`_walk`), with
-    canonical endpoints; the digits of each cell are exact, with no sampling.
+    The cells of one walk down from the edge (see :func:`_walk`), radicands
+    unsplit; the digits of each cell are exact, with no sampling.
     """
     bounds, cells = _walk(n, alpha_min)
     ends = [surd(a, b, d, c) for a, b, c, d in bounds]
@@ -164,9 +164,9 @@ def emit_kset_plot_data(n_max: int, precision: int = 6,
     """Rows (N, lo, hi, in_K, digit_lo, digit_hi) for N = n_min..n_max.
 
     Endpoint decimals are display renderings of the exact cell boundaries
-    at the requested precision, each boundary rendered once from the walk's
-    integer view, so no radicand is factored; suitable for plotting the
-    coprime region.  The CLI's kset output is these rows.
+    at the requested precision, each rendered once from the walk's integer
+    view; suitable for plotting the coprime region.  The CLI's kset output
+    is these rows.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("N must run over 2 <= n_min <= n_max")

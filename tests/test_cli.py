@@ -237,6 +237,28 @@ def test_orbit_across_two_radicands(capsys):
     assert code == 0 and out.strip() == "[0; 3, 2, 3, 2, 3, 2]"
 
 
+def test_orbit_text_does_not_depend_on_how_the_radicand_is_written(capsys):
+    tail = ("--N", "5", "--alpha", "6/5", "--budget", "50")
+    code, out, err = run(capsys, "orbit", "--x", "(1+1*sqrt(8))/2", *tail)
+    assert code == 0 and '"value": "(1+2*sqrt(2))/2"' in out
+    assert run(capsys, "orbit", "--x", "(1+2*sqrt(2))/2", *tail) == (code, out, err)
+
+
+_HUGE_SURD = "(0+1*sqrt(1000000000000000003))/1000000000"  # a prime radicand
+
+
+def test_a_radicand_too_large_to_print_exits_two(capsys):
+    for argv in (("orbit", "--x", _HUGE_SURD, "--N", "2", "--alpha", "1/3"),
+                 ("nomatch-regions", "--N", "1000000000000000000000000000001")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot split the radicand ") and err.count("\n") == 1
+    # expand prints digits only, so it answers
+    code, out, _ = run(capsys, "expand", "--x", _HUGE_SURD, "--N", "2", "--alpha", "1/3",
+                       "--n", "5")
+    assert (code, out) == (0, "[0; 1, 1, 1, 1, 1]\n")
+
+
 def test_badrat_text(capsys):
     code, out, _ = run(capsys, "badrat", "--n", "3")
     assert code == 0

@@ -13,7 +13,7 @@ from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
                         solve_quadratic, surd, _decimal_str,
-                        _floor_linear_surd, _small_primes, _square_free_split)
+                        _floor_linear_surd, _square_free_split)
 
 
 def test_integer_sqrt_examples():
@@ -47,15 +47,7 @@ def test_surd_normalization():
     assert _square_free_split.cache_info().maxsize is not None
 
 
-def test_small_primes_match_trial_division():
-    for k in range(2, 17):
-        bound = 1 << k
-        brute = [p for p in range(2, bound)
-                 if all(p % q for q in range(2, math.isqrt(p) + 1))]
-        assert list(_small_primes(bound)) == brute
-
-
-# primes on both sides of the power-of-two sieve bounds, 2^16 included
+# primes on both sides of powers of two, 2^16 included
 _EDGE_PRIMES = (3, 5, 7, 17, 251, 257, 65521, 65537, 65539)
 
 
@@ -71,6 +63,42 @@ def test_square_free_split_at_the_sieve_edges():
         s = math.prod(p ** (e // 2) for p, e in zip(primes, exps))
         f = math.prod(p ** (e % 2) for p, e in zip(primes, exps))
         assert _square_free_split(n) == (s, f)
+
+
+def test_square_free_split_stops_at_2_to_the_22():
+    below, above = 4194301, 4194319  # the primes next to 2^22
+    assert _square_free_split(below * below) == (below, 1)
+    # one factor below 2^22 leaves a prime cofactor, however large
+    assert _square_free_split(below * above) == (1, below * above)
+    assert _square_free_split(2 ** 101 * 3 ** 4) == (2 ** 50 * 9, 2)
+    with pytest.raises(ValueError, match=f"radicand {above * above} "):
+        _square_free_split(above * above)
+
+
+def test_values_agree_across_square_factors_of_the_radicand():
+    root8, root2 = surd(0, 1, 8), surd(0, 1, 2)
+    assert root8 + root2 == surd(0, 3, 2) == root2 + root8
+    assert root8 - root2 == root2
+    assert root8 * root2 == 4 == root2 * root8
+    assert root8 / root2 == 2 and root2 / root8 == Fraction(1, 2)
+    assert root8 * surd(1, 1, 2) == surd(4, 2, 2)
+    two_root2 = surd(0, 2, 2)
+    assert root8 == two_root2 and hash(root8) == hash(two_root2)
+    assert two_root2 in {root8} and {root8: 1}[two_root2] == 1
+    assert len({root8, two_root2, surd(0, 1, 32) / 2}) == 1
+    assert root8 != root2 and root8 != Fraction(3)
+    assert format_exact(surd(2, 1, 8, 2)) == "(1+1*sqrt(2))/1"
+    assert format_exact(surd(0, 1, 8)) == format_exact(two_root2) == "(0+2*sqrt(2))/1"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50).filter(bool), st.integers(1, 60),
+       st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13, 15, 30, 105, 1155)), st.integers(1, 50))
+def test_square_factors_of_the_radicand_move_into_b(a, b, s, f, c):
+    x, y = surd(a, b, s * s * f, c), surd(a, b * s, f, c)
+    assert x == y and hash(x) == hash(y)
+    assert format_exact(x) == format_exact(y)
+    assert parse_exact(format_exact(x)) == x
 
 
 def test_normalization_idempotent():
@@ -393,3 +421,29 @@ def test_rational_between_rejects_empty_intervals():
     lo = Fraction(1, 3)
     q = rational_between(lo, lo + Fraction(1, 2 ** 70))
     assert lo < q < lo + Fraction(1, 2 ** 70)
+
+
+def test_no_decision_path_splits_a_radicand(monkeypatch):
+    # only the text of a surd needs its square-free form
+    from nacf import exact, paramspace
+    from nacf.expansion import Params
+    from nacf.matching import matching_interval, verify_theorem_intervals
+    from nacf.orbits import orbit_quadratic
+
+    def decide():
+        paramspace.kset.cache_clear()
+        return (verify_theorem_intervals(["i", "ii", "iv"], range(0, 4)),
+                matching_interval(Fraction(2, 9), 2),
+                paramspace.kset(5, Fraction(1, 10)),
+                orbit_quadratic(surd(1, 1, 8, 2), Params(5, Fraction(6, 5)), 50))
+
+    want = decide()
+
+    def split(n):
+        raise AssertionError(f"sqrt({n}) was split on a decision path")
+
+    monkeypatch.setattr(exact, "_square_free_split", split)
+    got = decide()
+    assert got == want
+    assert all(check.ok for check in got[0]) and len(got[2]) > 1
+    assert got[3].points[0].d == 8
