@@ -20,7 +20,7 @@ from .matching import (BadRational, MatchReport, MismatchDetected,
                        bad_rational_certificate, matching_interval,
                        verify_theorem_intervals, _match)
 from .orbits import orbit_quadratic, orbit_rational
-from .paramspace import DEFAULT_ALPHA_MIN, emit_kset_plot_data, no_matching_regions
+from .paramspace import DEFAULT_ALPHA_MIN, no_matching_regions, _plot_rows
 
 EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_NEGATIVE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -215,14 +215,21 @@ def _cmd_badrat(args, cfg):
 
 def _cmd_kset(args, cfg):
     n_min, n_max = (2, args.n_max) if args.N is None else (args.N, args.N)
-    rows = emit_kset_plot_data(n_max, cfg["precision"], cfg["alpha_min"], n_min=n_min)
-    if cfg["format"] == "json":
-        print(json.dumps([{"N": r[0], "lo": r[1], "hi": r[2], "in_K": r[3],
-                           "digit_lo": r[4], "digit_hi": r[5]} for r in rows]))
-    else:
-        print("N,lo,hi,in_K,digit_lo,digit_hi")
-        for r in rows:
-            print(",".join(str(v) for v in r))
+    rows = _plot_rows(n_max, cfg["precision"], cfg["alpha_min"], n_min)
+    write = sys.stdout.write
+    if cfg["format"] == "json":  # each row's bytes are json.dumps of its dict
+        sep = "["
+        for n, lo, hi, in_k, digit_lo, digit_hi in rows:
+            write(f'{sep}{{"N": {n}, "lo": "{lo}", "hi": "{hi}", '
+                  f'"in_K": {"true" if in_k else "false"}, '
+                  f'"digit_lo": {digit_lo}, "digit_hi": {digit_hi}}}')
+            sep = ", "
+        write("]\n")
+    else:  # the header goes out with the first row, so a bad input prints nothing
+        head = "N,lo,hi,in_K,digit_lo,digit_hi\n"
+        for n, lo, hi, in_k, digit_lo, digit_hi in rows:
+            write(f"{head}{n},{lo},{hi},{in_k},{digit_lo},{digit_hi}\n")
+            head = ""
     return EXIT_OK
 
 

@@ -214,7 +214,7 @@ class Surd:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
     def __repr__(self):
-        return format_exact(self)
+        return _view_str(self.a, self.b, self.c, self.d)
 
 
 ExactNumber = Union[Fraction, Surd]
@@ -457,6 +457,14 @@ def format_exact(x) -> str:
         if s > 1:  # a Surd's view is in lowest terms until s joins b
             g = math.gcd(a, b * s, c)
             a, b, c = a // g, b * s // g, c // g
+    return _view_str(a, b, c, d)
+
+
+def _view_str(a: int, b: int, c: int, d: int) -> str:
+    """Text of the integer view (a, b, c, d) as it stands, radicand unsplit:
+    :func:`format_exact`'s form, and that of messages and repr, which must
+    not fail on a radicand that cannot be split."""
+    if b:
         sign = "+" if b > 0 else ""
         return f"({_int_str(a)}{sign}{_int_str(b)}*sqrt({_int_str(d)}))/{_int_str(c)}"
     return _int_str(a) if c == 1 else f"{_int_str(a)}/{_int_str(c)}"

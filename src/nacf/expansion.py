@@ -18,8 +18,8 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
-                    floor_exact, format_exact, solve_mobius_fixed_point, surd,
-                    _as_exact, _floor_linear_surd, _sign3, _surd_parts)
+                    floor_exact, solve_mobius_fixed_point, surd, _as_exact,
+                    _floor_linear_surd, _sign3, _surd_parts, _view_str)
 
 
 class OutOfDomain(ValueError):
@@ -283,7 +283,7 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
     """
     x = _as_exact(x)
     if not p.contains(x):
-        raise OutOfDomain(f"{format_exact(x)} outside [alpha, alpha+1]")
+        raise OutOfDomain(f"{_view_str(*_surd_parts(x))} outside [alpha, alpha+1]")
     a, b, c, r = _surd_parts(x)
     if b == 0:
         d = _rational_digit(p, a, c)  # N/x = N*c/a with a > 0 on the domain

@@ -33,7 +33,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional
 
-from .exact import Surd, compare_exact, format_exact, _as_exact
+from .exact import (Surd, compare_exact, format_exact, _as_exact, _surd_parts,
+                    _view_str)
 from .expansion import OutOfDomain, Params, all_digits_coprime, step, _rational_digit
 
 
@@ -302,7 +303,7 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     if not isinstance(x0, Surd):
         raise ValueError("orbit_quadratic needs a genuinely irrational quadratic")
     if not p.contains(x0):
-        raise OutOfDomain(f"{format_exact(x0)} outside [alpha, alpha+1]")
+        raise OutOfDomain(f"{_view_str(*_surd_parts(x0))} outside [alpha, alpha+1]")
     if budget < 1:
         raise ValueError("budget must be >= 1")
 

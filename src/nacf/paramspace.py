@@ -6,10 +6,9 @@ a cell belongs to the coprime region when every digit there is coprime
 with N.  Inside that region rationals are never periodic for alpha > 1 and
 matching is obstructed, which yields whole no-matching intervals for odd N.
 The largest and the smallest digit both fall as alpha grows, so the cells
-are one merge of their two breakpoint sequences (see :func:`_walk`), with
-the cuts ordered by integer sign tests alone.  The plot rows are rendered
-from the cuts' integer views and :func:`kset` builds its surds from the
-same walk; neither factors a radicand.
+are one merge of their two breakpoint sequences walked up from alpha_min
+(see :func:`_cells`), the cuts ordered by integer sign tests alone.  Plot
+rows stream from it, kset() builds its surds from it; none splits a radicand.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from .exact import (ExactNumber, surd, _decimal_str, _sign, _sign2,
-                    _surd_parts)
+from .exact import (ExactNumber, floor_exact, surd, _as_exact, _decimal_str,
+                    _sign, _surd_parts)
 from .expansion import alpha_max
 from .matching import ParamInterval
 
@@ -60,14 +59,6 @@ def _root(cut: tuple[int, int]) -> tuple[int, int, int, int]:
     return -s, 1, 2, s * s - 4 * t
 
 
-def _at_or_below(cut: tuple[int, int], alpha: tuple[int, int, int, int]) -> bool:
-    """Whether the cut is <= alpha > 0: the sign of its quadratic at alpha,
-    times c^2 for alpha's integer view (a, b, c, d)."""
-    s, t = cut
-    a, b, c, d = alpha
-    return _sign2(a * a + b * b * d + s * a * c + t * c * c, (2 * a + s * c) * b, d) >= 0
-
-
 def _order(n: int, m_u: int, m_l: int) -> int:
     """Sign of u(m_u) - l(m_l), in integers.
 
@@ -83,47 +74,53 @@ def _order(n: int, m_u: int, m_l: int) -> int:
     return _sign(m_l * m_l + (m_l + 1) * m_l * k + (m_l - n) * k * k)
 
 
-def _walk(n: int, alpha_min) -> tuple[list, list]:
-    """Bounds (integer views, alpha_min's first) and cells (digit_lo,
-    digit_hi, in_k) of (alpha_min, sqrt(N)-1], ascending; cells[i] holds on
-    (bounds[i], bounds[i+1]].  One walk down from the edge sqrt(N)-1 = l(1):
-    the next bound is the larger of the pending upper cut u(digit_hi+1),
-    where the top digit gains one, and lower cut l(digit_lo+1), where the
-    bottom digit gains one; equal cuts advance both.
+def _cells(n: int, alpha_min):
+    """The cells (lo, hi, digit_lo, digit_hi, in_k) of (alpha_min, sqrt(N)-1],
+    ascending, lo and hi as integer views, the digits those of (lo, hi].  One
+    walk up from alpha_min: the top digit falls past u(digit_hi), the bottom
+    one past l(digit_lo), the next bound is the smaller cut (equal cuts move
+    both), and the edge sqrt(N)-1 = l(1) ends it.  in_k reads a running
+    count of the digits in [digit_lo, digit_hi] that share a factor with N.
     """
-    if n < 2:
-        raise ValueError("N must be >= 2")
-    alpha = _surd_parts(alpha_min)
-    if _sign2(alpha[0], alpha[1], alpha[3]) <= 0 or _at_or_below(_lower(n, 1), alpha):
+    alpha = _as_exact(alpha_min)
+    if alpha <= 0 or (digit_lo := -floor_exact(alpha - n / (alpha + 1)) - 1) < 1:
         raise ValueError("alpha_min must lie in (0, sqrt(N)-1)")
-    digit_lo, digit_hi = 1, 0
-    while _order(n, digit_hi + 1, 1) >= 0:      # the top digit at the edge
-        digit_hi += 1
-    bounds, cells = [_root(_lower(n, 1))], []
+    digit_hi = -floor_exact(alpha - n / alpha) - 1      # ceil(N/a - a) - 1
+    shared = sum(math.gcd(n, d) > 1 for d in range(digit_lo, digit_hi + 1))
+    lo = _surd_parts(alpha)
     while True:
-        side = _order(n, digit_hi + 1, digit_lo + 1)
-        cut = _upper(n, digit_hi + 1) if side >= 0 else _lower(n, digit_lo + 1)
-        last = _at_or_below(cut, alpha)
-        bounds.append(alpha if last else _root(cut))
-        cells.append((digit_lo, digit_hi,
-                      all(math.gcd(n, d) == 1 for d in range(digit_lo, digit_hi + 1))))
-        if last:
-            return bounds[::-1], cells[::-1]
-        digit_hi += side >= 0
-        digit_lo += side <= 0
+        side = _order(n, digit_hi, digit_lo)
+        hi = _root(_upper(n, digit_hi) if side <= 0 else _lower(n, digit_lo))
+        yield lo, hi, digit_lo, digit_hi, shared == 0
+        if side >= 0 and digit_lo == 1:
+            return
+        if side <= 0:
+            shared -= math.gcd(n, digit_hi) > 1
+            digit_hi -= 1
+        if side >= 0:
+            digit_lo -= 1
+            shared += math.gcd(n, digit_lo) > 1
+        lo = hi
+
+
+def _rendered(n: int, alpha_min, render):
+    """:func:`_cells` with each bound rendered once, by render(view)."""
+    hi = None
+    for lo, hi_view, *digits in _cells(n, alpha_min):
+        lo, hi = render(lo) if hi is None else hi, render(hi_view)
+        yield lo, hi, *digits
 
 
 @lru_cache(maxsize=256)
 def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell, ...]:
     """Partition (alpha_min, sqrt(N)-1] into half-open digit-set cells.
 
-    The cells of one walk down from the edge (see :func:`_walk`), radicands
+    The cells of one walk up from alpha_min (see :func:`_cells`), radicands
     unsplit; the digits of each cell are exact, with no sampling.
     """
-    bounds, cells = _walk(n, alpha_min)
-    ends = [surd(a, b, d, c) for a, b, c, d in bounds]
+    cells = _rendered(n, alpha_min, lambda view: surd(view[0], view[1], view[3], view[2]))
     return tuple(DigitSetCell(ParamInterval(lo, hi, True, False), *digits)
-                 for lo, hi, digits in zip(ends, ends[1:], cells))
+                 for lo, hi, *digits in cells)
 
 
 def digit_breakpoints(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[ExactNumber, ...]:
@@ -145,17 +142,27 @@ def no_matching_regions(n: int) -> list[ParamInterval]:
     which only the digits 1 and 2 occur.  Each returned interval is checked
     to consist of coprime-region cells: its left end is itself a cut (the
     upper cut at m = N-1 for N = 5 and 7, at m = 3 for N >= 9), so the
-    cells of the walk down to lo are exactly the region's.
+    cells of the walk up from lo are exactly the region's.
     """
     if n % 2 == 0 or n < 5:
         raise NotApplicable("established only for odd N >= 5")
     lo = Fraction(1) if n in (5, 7) else surd(-3, 1, 9 + 4 * n, 2)
     region = ParamInterval(lo, alpha_max(n), True, False)
-    for digit_lo, digit_hi, in_k in _walk(n, lo)[1]:
+    for _, _, digit_lo, digit_hi, in_k in _cells(n, lo):
         if not in_k:
             raise RuntimeError(f"the cell with digits {digit_lo}..{digit_hi} "
                                f"in the region is not coprime")
     return [region]
+
+
+def _plot_rows(n_max: int, precision: int, alpha_min, n_min: int):
+    """The rows of :func:`emit_kset_plot_data`, one cell at a time."""
+    if not 2 <= n_min <= n_max:
+        raise ValueError("N must run over 2 <= n_min <= n_max")
+    for n in range(n_min, n_max + 1):
+        cells = _rendered(n, alpha_min, lambda view: _decimal_str(*view, precision))
+        for lo, hi, digit_lo, digit_hi, in_k in cells:
+            yield n, lo, hi, in_k, digit_lo, digit_hi
 
 
 def emit_kset_plot_data(n_max: int, precision: int = 6,
@@ -166,14 +173,6 @@ def emit_kset_plot_data(n_max: int, precision: int = 6,
     Endpoint decimals are display renderings of the exact cell boundaries
     at the requested precision, each rendered once from the walk's integer
     view; suitable for plotting the coprime region.  The CLI's kset output
-    is these rows.
+    is these rows, written as :func:`_plot_rows` yields them.
     """
-    if not 2 <= n_min <= n_max:
-        raise ValueError("N must run over 2 <= n_min <= n_max")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        bounds, cells = _walk(n, alpha_min)
-        ends = [_decimal_str(*b, precision) for b in bounds]
-        rows += [(n, lo, hi, in_k, digit_lo, digit_hi)
-                 for lo, hi, (digit_lo, digit_hi, in_k) in zip(ends, ends[1:], cells)]
-    return rows
+    return list(_plot_rows(n_max, precision, alpha_min, n_min))

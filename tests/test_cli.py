@@ -1,17 +1,20 @@
+import contextlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import nacf.cli
 from conftest import random_params, random_rational_in, random_surd_in
-from nacf.cli import main
+from nacf.cli import FORMATS, main
 from nacf.exact import format_exact, parse_exact, surd
 from nacf.expansion import Params
 from nacf.orbits import orbit_quadratic, orbit_rational
+from nacf.paramspace import emit_kset_plot_data
 
 
 def run(capsys, *argv):
@@ -282,9 +285,50 @@ def test_kset_csv_and_json(capsys):
 
 
 def test_kset_alpha_min_outside_the_parameter_space_exits_two(capsys):
-    for bad in ("0", "-1/3", "3", "(-1+1*sqrt(5))/1"):
-        code, out, err = run(capsys, "kset", "--N", "5", f"--alpha-min={bad}")
-        assert code == 2 and out == "" and "alpha_min" in err
+    # nothing reaches stdout: the CSV header and the JSON "[" go out with the first row
+    for fmt in FORMATS:
+        for bad in ("0", "-1/3", "3", "(-1+1*sqrt(5))/1"):
+            code, out, err = run(capsys, "--format", fmt, "kset", "--N", "5", f"--alpha-min={bad}")
+            assert code == 2 and out == "" and "alpha_min" in err, (fmt, bad)
+        assert run(capsys, "--format", fmt, "kset", "--n-max", "1") == (
+            2, "", "error: N must run over 2 <= n_min <= n_max\n"), fmt
+
+
+def test_kset_streams_the_plot_rows(capsys):
+    # rows are written one at a time; the bytes equal those of the whole
+    # list (--precision starts at 1; the rows' own test covers 0 places)
+    for select, n_min, n_max in ((("--N", "7"), 7, 7), (("--n-max", "6"), 2, 6)):
+        for places in (1, 6, 10):
+            rows = emit_kset_plot_data(n_max, places, Fraction(1, 100), n_min=n_min)
+            csv = "".join(",".join(str(v) for v in r) + "\n" for r in rows)
+            keys = ("N", "lo", "hi", "in_K", "digit_lo", "digit_hi")
+            json_text = json.dumps([dict(zip(keys, r)) for r in rows]) + "\n"
+            for fmt, want in (("csv", "N,lo,hi,in_K,digit_lo,digit_hi\n" + csv),
+                              ("text", "N,lo,hi,in_K,digit_lo,digit_hi\n" + csv),
+                              ("json", json_text)):
+                got = run(capsys, "--format", fmt, "--precision", str(places), "kset", *select)
+                assert got == (0, want, ""), (select, places, fmt)
+
+
+def test_kset_memory_stays_flat():
+    # about 40 000 cells; the rows are never all held at once
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    argv = ["kset", "--N", "2", "--alpha-min", "1/20000"]
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Sink()):
+                code = main(["--format", fmt, *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20, (fmt, peak)
 
 
 def test_kset_needs_exactly_one_of_n_and_n_max(capsys):
@@ -373,6 +417,11 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2 and "outside" in err
     code, _, err = run(capsys, "expand", "--x", "1/2", "--N", "2", "--alpha", "1/2", "--n", "2")
     assert code == 2
+    # the message prints x unsplit: trial division cannot split this radicand
+    x = "(0+1*sqrt(1000000000000000003))/1"
+    for argv in (("orbit",), ("expand", "--n", "3")):
+        assert run(capsys, *argv, "--x", x, "--N", "2", "--alpha", "1/3") == (
+            2, "", f"error: {x} outside [alpha, alpha+1]\n"), argv
     # match answers from the obstruction certificate for 6/5, N = 5, after
     # the same input checks as an orbit scan
     for alpha, n, budget, message in (

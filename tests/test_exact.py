@@ -75,6 +75,17 @@ def test_square_free_split_stops_at_2_to_the_22():
         _square_free_split(above * above)
 
 
+def test_repr_keeps_the_radicand_unsplit():
+    # repr and messages print the view as it stands, so a radicand that
+    # trial division cannot split still prints; format_exact splits
+    big = 10 ** 18 + 3
+    assert repr(surd(0, 1, big)) == f"(0+1*sqrt({big}))/1"
+    assert repr(surd(1, 1, 8, 3)) == "(1+1*sqrt(8))/3"
+    assert format_exact(surd(1, 1, 8, 3)) == "(1+2*sqrt(2))/3"
+    with pytest.raises(ValueError, match="cannot split"):
+        format_exact(surd(0, 1, big))
+
+
 def test_values_agree_across_square_factors_of_the_radicand():
     root8, root2 = surd(0, 1, 8), surd(0, 1, 2)
     assert root8 + root2 == surd(0, 3, 2) == root2 + root8

@@ -118,7 +118,13 @@ def test_kset_matches_the_reference():
     cases = [(n, a) for n in range(2, 17)
              for a in (Fraction(1, 100), Fraction(1, 3), root2)
              if compare_exact(a, alpha_max(n)) < 0]
-    cases.append((5, Fraction(1)))      # alpha_min is the breakpoint u(4)
+    cases += [(5, Fraction(1)),                # alpha_min on the upper cut u(4)
+              (15, Fraction(2)),               # on the lower cut l(3) only
+              (12, Fraction(2)),               # on u(4) and l(2) at once
+              (9, surd(-3, 1, 45, 2)),         # on the upper cut u(3)
+              (9, surd(-3, 1, 37, 2)),         # on the lower cut l(2)
+              (2, Fraction(1, 1000)), (3, Fraction(1, 1000)),
+              (47, Fraction(1, 10))]           # prime N: in_k flips at 47 and 94
     assert (16, root2) in cases and (2, root2) not in cases
     for n, alpha_min in cases:
         cells = kset(n, alpha_min)
@@ -129,6 +135,7 @@ def test_kset_matches_the_reference():
                    for c in cells)
         assert digit_breakpoints(n, alpha_min) == tuple(c.interval.hi for c in cells)
     assert kset(5, Fraction(1))[0].interval.lo == Fraction(1)
+    assert {c.in_k for c in kset(47, Fraction(1, 10))} == {True, False}
 
 
 def test_kset_rejects_alpha_min_outside_the_parameter_space():
@@ -218,13 +225,14 @@ def test_no_matching_regions_walk_their_own_cells(monkeypatch):
         assert cells[-1].interval.hi == region.hi
         assert region.lo in digit_breakpoints(n, region.lo / 2)   # a cut, not a clamp
         assert all(cell.in_k for cell in cells)
-    # a cell that is not coprime still stops the check
-    real = paramspace._walk
-    planted = (1, 5, False)  # (digit_lo, digit_hi, in_k): digit 5 shares a factor with N
+    # a cell that is not coprime still stops the check, first or last
+    real = paramspace._cells
+    one = (1, 0, 1, 0)  # the integer view of 1
+    planted = (one, one, 1, 5, False)  # digit 5 shares a factor with N = 5
     for first in (True, False):
-        def walk(n, alpha_min):
-            bounds, cells = real(n, alpha_min)
-            return bounds, [planted] + cells if first else cells + [planted]
-        monkeypatch.setattr(paramspace, "_walk", walk)
+        def cells(n, alpha_min):
+            walk = list(real(n, alpha_min))
+            yield from [planted] + walk if first else walk + [planted]
+        monkeypatch.setattr(paramspace, "_cells", cells)
         with pytest.raises(RuntimeError, match="not coprime"):
             no_matching_regions(5)
