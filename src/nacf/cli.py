@@ -34,6 +34,7 @@ VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
 VERIFY_K_MAX = 10_000  # operands grow with k's digits: a value costs ~170x more at 4200
 EXPAND_N_MAX = 50_000  # the word is held in memory; its digits grow with n
 ORBIT_BUDGET_MAX = 20_000  # its integers grow with each step: 176 MB of output at 20 000
+QUADRATIC_BUDGET_MAX = 2500  # its surds outgrow its output: 3 s at 2500 steps, 25 s at 5000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,10 +142,14 @@ def _cmd_expand(args, cfg):
 
 def _cmd_orbit(args, cfg):
     budget = cfg["budget"]
+    quadratic = args.quadratic or not isinstance(args.x, Fraction)
     if budget > ORBIT_BUDGET_MAX:
         raise ValueError(f"orbit needs budget <= {ORBIT_BUDGET_MAX}, got {budget}")
+    if quadratic and budget > QUADRATIC_BUDGET_MAX:
+        raise ValueError(f"a quadratic orbit needs budget <= {QUADRATIC_BUDGET_MAX}, "
+                         f"got {budget}")
     p = Params(args.N, args.alpha)
-    if args.quadratic or not isinstance(args.x, Fraction):
+    if quadratic:
         trace = orbit_quadratic(args.x, p, budget)
     else:
         trace = orbit_rational(args.x, p, budget)

@@ -4,9 +4,11 @@ For a rational parameter alpha, "matching" means the orbits of alpha and
 alpha + 1 meet: T^K(alpha) = T^L(alpha + 1).  Stability of a matched pair
 is decided through the projective criterion ADD_ONE * M_K ~ M_L on the
 digit matrices of the two orbits; stable pairs persist on a parameter
-interval obtained by intersecting two cylinder intervals.  Rationals that
-sit in no matching interval admit a mod-2 obstruction certificate, and a
-mod-N congruence obstruction rules out matching inside the coprime region.
+interval, the cylinder of both orbits' digit prefixes.  That is one bound
+pair, solved on the prefix matrices the orbits hold and clamped once.
+Rationals that sit in no matching interval admit a mod-2 obstruction
+certificate, and a mod-N congruence obstruction rules out matching inside
+the coprime region.
 
 Stability is constant along each diagonal K - L.  The digit of a point
 depends on the point alone, so once T^K(alpha) = T^L(alpha + 1) both orbits
@@ -282,9 +284,9 @@ class _EndpointOrbits:
             exc.proved = not heads and None not in (self.a.trace.one_at, self.b.trace.one_at)
             raise exc
         _, k, l = first
-        cyl_a = cylinder_interval("alpha", self.a.head(k), self.N)
-        cyl_b = cylinder_interval("alpha_plus_one", self.b.head(l), self.N)
-        interval = cyl_a.intersect(cyl_b)
+        a, b = self.a, self.b
+        interval = _cylinder(self.N, [(0, a.head(k), map(a.matrix, range(1, k + 1))),
+                                      (1, b.head(l), map(b.matrix, range(1, l + 1)))])
         if not interval.contains(self.alpha):
             raise MismatchDetected("stable pair's interval misses alpha")
         return MatchingInterval(self.alpha, self.N, k, l, interval)
@@ -330,61 +332,58 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     return orbits.stability(k, l)
 
 
-def _level_interval(kind: str, prefix: Mobius, word: Mobius, last: int,
-                    depth: int, n: int) -> ParamInterval:
-    # Boundary equations for the last digit of a prefix of length ``depth``,
-    # given the matrices ``prefix`` of the digits before it and ``word`` of
-    # all of them: one for the word with that digit increased, one for the
-    # word itself when the digit exceeds one, or for the word shortened by
-    # one with the argument shifted by one when it equals one (the orbit
-    # exits through alpha + 1 there).  A one-digit word ending in 1 has no
-    # second equation; the domain edge binds.  Clamped to (0, sqrt(N)-1].
-    s = 1 if kind == "alpha_plus_one" else 0
-
-    def boundary(m: Mobius) -> Optional[ExactNumber]:
-        try:
-            return solve_mobius_fixed_point(m, s, lo=Fraction(0), hi=None)
-        except NoRootInRange:
-            return None
-
-    a1 = boundary(prefix @ Mobius.branch(n, last + 1))
-    if last > 1:
-        a2 = boundary(word)
-    elif depth >= 2:
-        a2 = boundary(prefix @ ADD_ONE)
-    else:
-        a2 = None
-
-    lo, hi = (a1, a2) if depth % 2 == 1 else (a2, a1)
+def _cylinder(n: int, orbits) -> ParamInterval:
+    # The parameters at which every orbit starts with its digits.  ``orbits``
+    # holds one (s, digits d_1..d_k, running products M_1..M_k) per orbit,
+    # with s = 0 for alpha and 1 for alpha + 1.  A prefix length bounds the
+    # cylinder by the roots for the word with its last digit increased and
+    # for the word itself (last digit > 1), or for the word shortened by one
+    # with the argument shifted by one (last digit 1: the orbit exits through
+    # alpha + 1); a one-digit word ending in 1 has only the first.  Every
+    # bound is open: keep the largest lower and the smallest upper root (the
+    # earlier on a tie), and clamp them to (0, sqrt(N)-1] once.
+    lo = hi = None
+    for s, digits, products in orbits:
+        prefix = IDENTITY
+        for depth, (d, word) in enumerate(zip(digits, products), 1):
+            a1 = _boundary(prefix @ Mobius.branch(n, d + 1), s)
+            a2 = (_boundary(word, s) if d > 1 else
+                  _boundary(prefix @ ADD_ONE, s) if depth >= 2 else None)
+            low, high = (a1, a2) if depth % 2 == 1 else (a2, a1)
+            if low is None:
+                raise EmptyInterval("left boundary has no positive solution")
+            if lo is None or compare_exact(low, lo) > 0:
+                lo = low
+            if high is not None and (hi is None or compare_exact(high, hi) < 0):
+                hi = high
+            prefix = word
     edge = alpha_max(n)
-    if lo is None:
-        raise EmptyInterval("left boundary has no positive solution")
-    if compare_exact(lo, edge) >= 0:
-        raise EmptyInterval("cylinder lies beyond the parameter space")
     if hi is None or compare_exact(hi, edge) > 0:
         return ParamInterval(lo, edge, True, False)
     return ParamInterval(lo, hi, True, True)
 
 
+def _boundary(m: Mobius, s: int) -> Optional[ExactNumber]:
+    try:
+        return solve_mobius_fixed_point(m, s, lo=Fraction(0), hi=None)
+    except NoRootInRange:
+        return None
+
+
 def cylinder_interval(kind: str, digits: Sequence[int], n: int) -> ParamInterval:
     """Parameters whose own expansion (or that of alpha + 1) starts with ``digits``.
 
-    Each prefix length contributes a pair of boundary equations; the cylinder
-    is the intersection over all prefix lengths.  (The innermost pair alone
-    is not sound: its interval can poke out of a shorter prefix's cylinder
-    when the parameter sits close to a shallower branch boundary.)
+    Each prefix length gives a pair of open bounds; the cylinder keeps the
+    largest lower and the smallest upper one, clamped once to (0, sqrt(N)-1].
+    (The innermost pair alone is not sound: it can poke out of a shorter
+    prefix's cylinder when alpha sits close to a shallower branch boundary.)
     """
     digits = tuple(int(d) for d in digits)
     if not digits or any(d < 1 for d in digits):
         raise ValueError("need a nonempty prefix of positive digits")
     if kind not in ("alpha", "alpha_plus_one"):
         raise ValueError("kind must be 'alpha' or 'alpha_plus_one'")
-    interval, prefix = None, IDENTITY
-    for depth, (d, word) in enumerate(zip(digits, _running_products(n, digits)), 1):
-        level = _level_interval(kind, prefix, word, d, depth, n)
-        interval = level if interval is None else interval.intersect(level)
-        prefix = word
-    return interval
+    return _cylinder(n, [(int(kind == "alpha_plus_one"), digits, _running_products(n, digits))])
 
 
 @dataclass(frozen=True)

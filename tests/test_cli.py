@@ -67,6 +67,28 @@ def test_orbit_bounds_the_budget(tmp_path, capsys):
     assert code == 3 and "budget: 1000000000\n" in out
 
 
+def test_orbit_bounds_the_quadratic_budget(tmp_path, capsys):
+    # a quadratic orbit's surds outgrow its output, so its bound is lower; the
+    # period-1 point (-2+sqrt(40))/2 closes at once and runs at the bound
+    orbit = ("orbit", "--x", "(-2+1*sqrt(40))/2", "--N", "9", "--alpha", "19/10")
+    code, out, err = run(capsys, *orbit, "--budget", "2500")
+    assert (code, err) == (0, "") and out.endswith("Periodic pre=0 period=1 first-repeat=1\n")
+    cfg = tmp_path / "nacf.conf"
+    for budget in ("2501", "20000"):
+        cfg.write_text(f"budget = {budget}\n")
+        message = f"error: a quadratic orbit needs budget <= 2500, got {budget}\n"
+        for argv in ((*orbit, "--budget", budget), ("--config", str(cfg), *orbit),
+                     ("--config", str(cfg), *orbit, "--quadratic")):
+            assert run(capsys, *argv) == (2, "", message)
+    # past the rational bound the rational message stands, whatever the point
+    message = "error: orbit needs budget <= 20000, got 20001\n"
+    assert run(capsys, *orbit, "--budget", "20001") == (2, "", message)
+    # a rational point keeps the rational bound
+    code, _, err = run(capsys, "orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9",
+                       "--budget", "2501")
+    assert (code, err) == (0, "")
+
+
 def test_expand_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "expand",
                        "--x", "2/9", "--N", "2", "--alpha", "2/9", "--n", "2")

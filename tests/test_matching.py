@@ -403,31 +403,68 @@ def _reference_cylinder(kind, digits, n):
 
 
 def test_cylinder_interval_matches_explicit_branch_products():
-    # every prefix of length <= 6 of both endpoint expansions of each p/q with
-    # q <= 30, and the same prefixes with the last digit moved by one, which
-    # reach the empty cylinders
-    alphas = sorted({Fraction(p, q) for q in range(1, 31) for p in range(1, q)
-                     if compare_exact(Fraction(p, q), alpha_max(2)) <= 0})
-    checked = empty = 0
-    for alpha in alphas:
-        pa = Params(2, alpha)
-        for kind, x0 in (("alpha", pa.alpha), ("alpha_plus_one", pa.upper)):
-            expansion = expand(x0, pa, 6).prefix
-            for length, bump in itertools.product(range(1, 7), (0, 1, -1)):
-                word = expansion[:length - 1] + (expansion[length - 1] + bump,)
-                if word[-1] < 1:
-                    continue
-                try:
-                    want = _reference_cylinder(kind, word, 2)
-                except EmptyInterval:
-                    with pytest.raises(EmptyInterval):
-                        cylinder_interval(kind, word, 2)
-                    empty += 1
-                else:
-                    assert cylinder_interval(kind, word, 2) == want
-                    assert bump or want.contains(alpha)
-                checked += 1
-    assert len(alphas) == 115 and (checked, empty) == (3332, 272)
+    # every prefix of length <= 6 of both endpoint expansions of each p/q in
+    # the parameter space, and the same prefixes with the last digit moved by
+    # one, which reach the empty cylinders: q <= 30 for N = 2, q <= 15 above
+    counts = {}
+    for n, q_max in ((2, 30), (3, 15), (4, 15), (5, 15)):
+        alphas = sorted({Fraction(p, q) for q in range(1, q_max + 1) for p in range(1, 2 * q)
+                         if compare_exact(Fraction(p, q), alpha_max(n)) <= 0})
+        checked = empty = 0
+        for alpha in alphas:
+            pa = Params(n, alpha)
+            for kind, x0 in (("alpha", pa.alpha), ("alpha_plus_one", pa.upper)):
+                expansion = expand(x0, pa, 6).prefix
+                for length, bump in itertools.product(range(1, 7), (0, 1, -1)):
+                    word = expansion[:length - 1] + (expansion[length - 1] + bump,)
+                    if word[-1] < 1:
+                        continue
+                    try:
+                        want = _reference_cylinder(kind, word, n)
+                    except EmptyInterval:
+                        with pytest.raises(EmptyInterval):
+                            cylinder_interval(kind, word, n)
+                        empty += 1
+                    else:
+                        assert cylinder_interval(kind, word, n) == want
+                        # for N >= 3 a word's own bound can be attained and
+                        # is still printed open (5/14 at N = 3), so the
+                        # containment is checked for N = 2 only
+                        assert bump or n > 2 or want.contains(alpha)
+                    checked += 1
+        counts[n] = len(alphas), checked, empty
+    assert counts == {2: (115, 3332, 272), 3: (52, 1787, 284), 4: (72, 2466, 351),
+                      5: (89, 3079, 386)}
+
+
+def test_matching_interval_reads_the_orbits_products(monkeypatch):
+    # the interval's boundary equations read the prefix matrices the endpoint
+    # orbits already hold, and multiply no prefix product again
+    cases = []
+    for alpha in _scan_alphas():
+        orbits = _EndpointOrbits(alpha, 2, 40)
+        orbits.a, orbits.b  # each orbit starts its product generator here
+        try:
+            mi = matching_interval(alpha, 2, budget=40)
+        except BadRational:
+            cases.append((orbits, None))
+            continue
+        want = cylinder_interval("alpha", orbits.a.head(mi.K), 2).intersect(
+            cylinder_interval("alpha_plus_one", orbits.b.head(mi.L), 2))
+        cases.append((orbits, (mi.K, mi.L, want)))
+
+    def fail(*args):
+        raise AssertionError("a prefix product was multiplied again")
+
+    monkeypatch.setattr(nacf.matching, "_running_products", fail)
+    assert len(cases) == 203 and sum(want is None for _, want in cases) == 161
+    for orbits, want in cases:
+        if want is None:
+            with pytest.raises(BadRational):
+                orbits.interval(40)
+        else:
+            mi = orbits.interval(40)
+            assert (mi.K, mi.L, mi.interval) == want
 
 
 def test_orbit_matrices_equal_branch_products_and_convergents():
