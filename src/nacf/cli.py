@@ -4,6 +4,9 @@ Subcommands: expand, orbit, match, interval, badrat, kset, nomatch-regions,
 verify.  Inputs are exact only ("p/q" or "(a+b*sqrt(d))/c"); decimals are
 rejected.  Exit codes: 0 success, 1 parse error, 2 domain error, 3 a
 certified negative result, 4 internal invariant or closed-form mismatch.
+
+One table, GLOBAL_OPTIONS and COMMANDS, declares every option: build_parser()
+builds argparse's parser from it and _parse() reads a canonical argv with it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import decimal_str, format_exact, parse_exact
 from .expansion import Params, expand
@@ -35,28 +39,13 @@ VERIFY_K_MAX = 10_000  # operands grow with k's digits: a value costs ~170x more
 EXPAND_N_MAX = 50_000  # the word is held in memory; its digits grow with n
 ORBIT_BUDGET_MAX = 20_000  # its integers grow with each step: 176 MB of output at 20 000
 QUADRATIC_BUDGET_MAX = 2500  # its surds outgrow its output: 3 s at 2500 steps, 25 s at 5000
+MATCH_BUDGET_MAX = 20_000  # its orbits are held: 1 s, 45 MB at 20 000; 1.3 GB past 30 s at 10^8
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
-
-
-class _Unbuilt:
-    """Stands in for the parser of a subcommand that argv does not name.
-    argparse parses only with the parser whose name is an argv token, and the
-    top-level usage, help and "invalid choice" lines read just the names and
-    help strings, so nothing ever reads this object."""
-
-    def add_argument(self, *args, **kwargs):
-        pass
-
-    def add_mutually_exclusive_group(self, **kwargs):
-        return self
-
-    def set_defaults(self, **kwargs):
-        pass
 
 
 def _exact(text):
@@ -162,6 +151,8 @@ def _cmd_orbit(args, cfg):
 
 def _cmd_match(args, cfg):
     budget = cfg["budget"]
+    if budget > MATCH_BUDGET_MAX:
+        raise ValueError(f"match needs budget <= {MATCH_BUDGET_MAX}, got {budget}")
     report, orbits = _match(args.alpha, args.N, budget)
     out = report.to_json()
     out["certificates"] = []
@@ -271,85 +262,151 @@ def _cmd_verify(args, cfg):
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The nacf parser.  Given the argv it is to parse, only the subcommands
-    named in argv get a real parser; with no argv every subcommand does."""
-    named = None if argv is None else set(argv)
+class _Exclusive(NamedTuple):
+    """Options of which a run gives at most one, or exactly one if required."""
+    required: bool
+    options: tuple
 
-    def subparser(**kwargs):  # kwargs["prog"] is "nacf <name>"
-        if named is None or kwargs["prog"].rpartition(" ")[2] in named:
-            return _Parser(**kwargs)
-        return _Unbuilt()
 
-    top = _Parser(prog="nacf", description=__doc__)
-    top.add_argument("--config", help="path to a key=value config file")
-    top.add_argument("--format", choices=FORMATS)
-    top.add_argument("--precision", type=int)
-    sub = top.add_subparsers(dest="command", required=True, parser_class=subparser)
+_REQ_EXACT = {"type": _exact, "required": True}
+_REQ_INT = {"type": int, "required": True}
 
-    sp = sub.add_parser("expand", help="first digits of an expansion")
-    sp.add_argument("--x", type=_exact, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--alpha", type=_exact, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(fn=_cmd_expand)
+# Every option, declared once as (flag, add_argument keywords), and every
+# subcommand as (help, function, options).
+GLOBAL_OPTIONS = (("--config", {"help": "path to a key=value config file"}),
+                  ("--format", {"choices": FORMATS}),
+                  ("--precision", {"type": int}))
+COMMANDS = {
+    "expand": ("first digits of an expansion", _cmd_expand,
+               (("--x", _REQ_EXACT), ("--N", _REQ_INT), ("--alpha", _REQ_EXACT),
+                ("--n", _REQ_INT))),
+    "orbit": ("exact orbit trace with cycle detection", _cmd_orbit,
+              (("--x", _REQ_EXACT), ("--N", _REQ_INT), ("--alpha", _REQ_EXACT),
+               ("--budget", {"type": int}), ("--quadratic", {"action": "store_true"}))),
+    "match": ("minimal matched pair of the endpoint orbits", _cmd_match,
+              (("--alpha", _REQ_EXACT), ("--N", _REQ_INT), ("--budget", {"type": int}))),
+    "interval": ("stable exponents and matching interval (N=2)", _cmd_interval,
+                 (("--alpha", _REQ_EXACT), ("--N", {"type": int, "default": 2}),
+                  # a config-file budget never reaches this default
+                  ("--budget", {"type": int, "default": 40}))),
+    "badrat": ("mod-2 certificate for alpha = 1/2^n", _cmd_badrat, (("--n", _REQ_INT),)),
+    "kset": ("digit-set cells and the coprime region", _cmd_kset,
+             (_Exclusive(True, (("--N", {"type": int}),
+                                ("--n-max", {"type": int, "dest": "n_max"}))),
+              ("--alpha-min", {"type": _exact, "dest": "alpha_min"}))),
+    "nomatch-regions": ("no-matching intervals for odd N >= 5", _cmd_nomatch_regions,
+                        (("--N", _REQ_INT),)),
+    "verify": ("recompute the closed-form families", _cmd_verify,
+               (_Exclusive(False, (("--theorem", {"dest": "what", "action": "store_const",
+                                                  "const": "theorem", "default": "theorem"}),
+                                   ("--table", {"dest": "what", "action": "store_const",
+                                                "const": "table"}))),
+                ("--family", {"choices": ["i", "ii", "iii", "iv", "all"], "default": "all"}),
+                ("--k", {"type": _k_range, "default": range(0, 1)}))),
+}
 
-    sp = sub.add_parser("orbit", help="exact orbit trace with cycle detection")
-    sp.add_argument("--x", type=_exact, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--alpha", type=_exact, required=True)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--quadratic", action="store_true")
-    sp.set_defaults(fn=_cmd_orbit)
 
-    sp = sub.add_parser("match", help="minimal matched pair of the endpoint orbits")
-    sp.add_argument("--alpha", type=_exact, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--budget", type=int)
-    sp.set_defaults(fn=_cmd_match)
+def _index(options) -> dict:
+    """{flag: (dest, keywords)} of options, groups opened, in table order."""
+    flat = [o for e in options for o in (e.options if isinstance(e, _Exclusive) else (e,))]
+    return {flag: (kw.get("dest", flag[2:].replace("-", "_")), kw) for flag, kw in flat}
 
-    sp = sub.add_parser("interval", help="stable exponents and matching interval (N=2)")
-    sp.add_argument("--alpha", type=_exact, required=True)
-    sp.add_argument("--N", type=int, default=2)
-    sp.add_argument("--budget", type=int, default=40)  # a config-file budget never reaches it
-    sp.set_defaults(fn=_cmd_interval)
 
-    sp = sub.add_parser("badrat", help="mod-2 certificate for alpha = 1/2^n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(fn=_cmd_badrat)
+_GLOBAL_INDEX = _index(GLOBAL_OPTIONS)
+_COMMAND_INDEX = {name: _index(options) for name, (_, _, options) in COMMANDS.items()}
 
-    sp = sub.add_parser("kset", help="digit-set cells and the coprime region")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--N", type=int)
-    group.add_argument("--n-max", type=int, dest="n_max")
-    sp.add_argument("--alpha-min", type=_exact, dest="alpha_min")
-    sp.set_defaults(fn=_cmd_kset)
 
-    sp = sub.add_parser("nomatch-regions", help="no-matching intervals for odd N >= 5")
-    sp.add_argument("--N", type=int, required=True)
-    sp.set_defaults(fn=_cmd_nomatch_regions)
-
-    sp = sub.add_parser("verify", help="recompute the closed-form families")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--theorem", dest="what", action="store_const",
-                       const="theorem", default="theorem")
-    group.add_argument("--table", dest="what", action="store_const", const="table")
-    sp.add_argument("--family", choices=["i", "ii", "iii", "iv", "all"],
-                    default="all")
-    sp.add_argument("--k", type=_k_range, default=range(0, 1))
-    sp.set_defaults(fn=_cmd_verify)
-
+def build_parser() -> argparse.ArgumentParser:
+    """The full nacf parser, built from GLOBAL_OPTIONS and COMMANDS."""
+    # the docstring's last paragraph is for readers of this file, not of -h
+    top = _Parser(prog="nacf", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    for flag, kw in GLOBAL_OPTIONS:
+        top.add_argument(flag, **kw)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, fn, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for entry in options:
+            if isinstance(entry, _Exclusive):
+                group = sp.add_mutually_exclusive_group(required=entry.required)
+                for flag, kw in entry.options:
+                    group.add_argument(flag, **kw)
+            else:
+                sp.add_argument(entry[0], **entry[1])
+        sp.set_defaults(fn=fn)
     return top
+
+
+def _read(argv, i, index, given):
+    """Read options of index from argv[i:] into given ({flag: value}) up to
+    the first token that is none of them, and return its position; None if
+    an option repeats or its value is missing, starts with '-', or fails its
+    type or choices."""
+    while i < len(argv) and argv[i] in index:
+        flag = argv[i]
+        if flag in given:
+            return None
+        kw = index[flag][1]
+        if "action" in kw:  # store_true or store_const: no value follows
+            value = kw.get("const", True)
+        else:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            if "type" in kw:
+                try:
+                    value = kw["type"](value)
+                except (ValueError, TypeError, argparse.ArgumentTypeError):
+                    return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        given[flag] = value
+        i += 1
+    return i
+
+
+def _parse(argv):
+    """The Namespace of build_parser().parse_args(argv), read straight from
+    the option table, when argv is canonical: global options, an exact
+    subcommand name, then that subcommand's options, each by its exact flag
+    at most once, with every required option and exclusive group kept.  None
+    otherwise: argparse then parses argv or writes its help or error."""
+    given = {}
+    i = _read(argv, 0, _GLOBAL_INDEX, given)
+    if i is None or i == len(argv) or argv[i] not in COMMANDS:
+        return None
+    command = argv[i]
+    if _read(argv, i + 1, _COMMAND_INDEX[command], given) != len(argv):
+        return None
+    _, fn, options = COMMANDS[command]
+    for entry in options:
+        if isinstance(entry, _Exclusive):
+            count = sum(flag in given for flag, _ in entry.options)
+            if count > 1 or entry.required and not count:
+                return None
+    values = {dest: given.get(flag, kw.get("default"))
+              for flag, (dest, kw) in _GLOBAL_INDEX.items()}
+    values["command"] = command
+    for flag, (dest, kw) in _COMMAND_INDEX[command].items():
+        if flag in given:
+            values[dest] = given[flag]
+        elif kw.get("required"):
+            return None
+        elif dest not in values:
+            values[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
+    values["fn"] = fn
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         code = args.fn(args, _settings(args))
         sys.stdout.flush()

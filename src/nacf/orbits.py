@@ -263,9 +263,16 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
             raise InvariantViolation("digit below 1; point drifted out of domain")
         rt, rs = N * rs - d * rt, rt
         g = math.gcd(N, t)
-        t, s = (N * s - d * t) // g, t // g
-        cof *= g
-        if rt != cof * t or rs != cof * s:
+        if g == 1:
+            t, s = N * s - d * t, t
+        else:
+            t, s = (N * s - d * t) // g, t // g
+            cof *= g
+        if cof == 1:  # the same test as below, without multiplying by 1
+            lost = rt != t or rs != s
+        else:
+            lost = rt != cof * t or rs != cof * s
+        if lost:
             raise InvariantViolation("raw recurrence disagrees with reduced value")
         digits.append(d)
         key = (t, s)

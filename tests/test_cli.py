@@ -8,6 +8,9 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import nacf.cli
 from conftest import random_params, random_rational_in, random_surd_in
 from nacf.cli import FORMATS, main
@@ -62,9 +65,23 @@ def test_orbit_bounds_the_budget(tmp_path, capsys):
         message = f"error: orbit needs budget <= 20000, got {budget}\n"
         assert run(capsys, *orbit, "--budget", budget) == (2, "", message)
         assert run(capsys, "--config", str(cfg), *orbit) == (2, "", message)
-    # match keeps its own budgets: the congruence certificate answers at once
-    code, out, _ = run(capsys, "--config", str(cfg), "match", "--alpha", "6/5", "--N", "5")
-    assert code == 3 and "budget: 1000000000\n" in out
+
+
+def test_match_bounds_the_budget(tmp_path, capsys):
+    # the congruence certificate answers 6/5 at N = 5 at once, at the bound;
+    # past it nothing runs, whether a flag or the config file sets the budget
+    match = ("match", "--alpha", "6/5", "--N", "5")
+    code, out, err = run(capsys, *match, "--budget", "20000")
+    assert (code, err) == (3, "") and "budget: 20000\n" in out
+    cfg = tmp_path / "nacf.conf"
+    for budget in ("20001", "100000000"):
+        cfg.write_text(f"budget = {budget}\n")
+        message = f"error: match needs budget <= 20000, got {budget}\n"
+        assert run(capsys, *match, "--budget", budget) == (2, "", message)
+        assert run(capsys, "--config", str(cfg), *match) == (2, "", message)
+        # an obstructed match that held its orbits ran past 30 s at 10^8
+        assert run(capsys, "match", "--N", "6", "--alpha", "7/5", "--budget", budget) == (
+            2, "", message)
 
 
 def test_orbit_bounds_the_quadratic_budget(tmp_path, capsys):
@@ -563,7 +580,7 @@ SUBCOMMANDS = ("expand", "orbit", "match", "interval", "badrat", "kset",
                "nomatch-regions", "verify")
 
 
-def test_main_builds_only_the_parser_argv_names(capsys, monkeypatch):
+def test_main_builds_the_parser_only_for_help_and_errors(capsys, monkeypatch):
     built = []
 
     class Counted(nacf.cli._Parser):
@@ -573,36 +590,109 @@ def test_main_builds_only_the_parser_argv_names(capsys, monkeypatch):
 
     monkeypatch.setattr(nacf.cli, "_Parser", Counted)
     nacf.cli.build_parser()
-    assert len(built) == 9
-    for name in SUBCOMMANDS:
-        built.clear()
-        assert run(capsys, name, "-h")[0] == 0
-        assert built == ["nacf", f"nacf {name}"]
+    full = ["nacf"] + [f"nacf {name}" for name in SUBCOMMANDS]
+    assert built == full
     built.clear()
     assert run(capsys, "expand", "--x", "2/9", "--N", "2", "--alpha", "2/9", "--n", "4") == (
         0, "[0; 8, 1, 1, 1]\n", "")
-    assert built == ["nacf", "nacf expand"]
+    assert built == []
+    for argv in [["-h"], ["bogus"]] + [[name, "-h"] for name in SUBCOMMANDS]:
+        built.clear()
+        assert run(capsys, *argv)[0] in (0, 1)
+        assert built == full, argv
 
 
-# help, usage and error bytes that the top-level parser and the named
-# subcommand's parser write
+# argv that _parse leaves to argparse: help, usage, errors and the forms only
+# argparse reads (verify alone is well-formed, so it is in CANONICAL)
 PARSE_CASES = [["-h"], []] + [[name, "-h"] for name in SUBCOMMANDS] \
-    + [[name] for name in SUBCOMMANDS] + [
+    + [[name] for name in SUBCOMMANDS if name != "verify"] + [
         ["bogus"], ["interv", "--alpha", "2/9"], ["--bogus", "interval", "--alpha", "2/9"],
         ["match", "--alpha", "1/3", "--N", "2", "--no-such-option"],
         ["expand", "--x", "1/2"], ["badrat", "--n", "3", "extra"],
         ["badrat", "--n", "x"], ["orbit", "--x", "0.5", "--N", "2", "--alpha", "1/3"],
         ["verify", "--family", "v"], ["--format", "xml", "badrat", "--n", "3"],
         ["kset", "--N", "5", "--n-max", "3"], ["--config", "kset"],
-        ["--form", "json", "badrat", "--n", "3"]]
+        ["--form", "json", "badrat", "--n", "3"], ["verify", "--theorem", "--table"],
+        ["kset", "--n-max", "3", "--N", "5"], ["kset", "--N", "5", "--N", "6"],
+        ["--precision", "-1", "interval", "--alpha", "2/9"], ["--format=json", "kset", "--N", "5"],
+        ["expand", "--x", "1/3", "--N", "2", "--alpha", "1/3", "--n", "-1"]]
+
+# one well-formed argv per subcommand, in the canonical form that _parse reads
+CANONICAL = [
+    ["expand", "--x", "2/9", "--N", "2", "--alpha", "2/9", "--n", "4"],
+    ["orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9", "--budget", "50"],
+    ["orbit", "--x", "(-2+1*sqrt(40))/2", "--N", "9", "--alpha", "19/10", "--quadratic"],
+    ["match", "--alpha", "8/43", "--N", "2", "--budget", "100"],
+    ["interval", "--alpha", "2/9"], ["badrat", "--n", "3"],
+    ["kset", "--N", "5"], ["kset", "--alpha-min", "1/10", "--n-max", "4"],
+    ["nomatch-regions", "--N", "5"],
+    ["verify"], ["verify", "--family", "i", "--k", "0..2"], ["verify", "--table", "--k", "3"]]
+CANONICAL += [["--format", "json", "--precision", "4", *argv] for argv in CANONICAL]
 
 
-def test_named_parser_writes_the_full_parsers_bytes(capsys, monkeypatch):
-    lazy = [run(capsys, *argv) for argv in PARSE_CASES]
-    full = nacf.cli.build_parser
-    monkeypatch.setattr(nacf.cli, "build_parser", lambda argv=None: full())
-    for argv, got in zip(PARSE_CASES, lazy):
+def test_direct_parse_writes_the_full_parsers_bytes(capsys, monkeypatch):
+    # exit code, stdout and stderr of main equal those of main when argparse
+    # parses every argv; argparse alone parses an argv that is not canonical
+    for argv in PARSE_CASES:
+        assert nacf.cli._parse(argv) is None, argv
+    cases = PARSE_CASES + CANONICAL
+    direct = [run(capsys, *argv) for argv in cases]
+    monkeypatch.setattr(nacf.cli, "_parse", lambda argv: None)
+    for argv, got in zip(cases, direct):
         assert got == run(capsys, *argv), argv
+
+
+def test_canonical_argv_parses_directly():
+    for argv in CANONICAL:
+        args = nacf.cli._parse(argv)
+        assert args is not None, argv
+        full = nacf.cli.build_parser().parse_args(argv)
+        assert list(vars(args).items()) == list(vars(full).items()), argv
+
+
+_FLAGS = ["--config", "--format", "--precision", "--x", "--N", "--alpha", "--n",
+          "--budget", "--quadratic", "--n-max", "--alpha-min", "--theorem", "--table",
+          "--family", "--k",
+          # prefixes, help, --opt=value and other near misses
+          "--conf", "--form", "--prec", "--alp", "--bud", "--quad", "--n-m", "--alpha-m",
+          "--the", "--tab", "--fam", "-h", "--help", "--N=2", "--alpha=1/3", "--format=json",
+          "--k=0..2", "--", "-", "-n", "--X", "--bogus", "interval", "kset"]
+_EXACT = ["1/3", "2/9", "7/5", "1", "(1+1*sqrt(2))/1"]
+_GOOD = {"--config": ["nacf.conf", "kset"], "--format": ["json", "csv"],
+         "--precision": ["4", "0"], "--x": _EXACT, "--alpha": _EXACT, "--alpha-min": _EXACT,
+         "--N": ["2", "5"], "--n": ["3"], "--budget": ["40"], "--n-max": ["4"],
+         "--family": ["i", "all"], "--k": ["0..2", "3"]}
+_VALUES = ["2", "1/3", "0..2", "5..2", "json", "xml", "i", "v", "0.5", "x", "", " 4",
+           "-1", "-3", "-1/3", "1e3", "1_0", "interval"]
+_COMMANDS = list(SUBCOMMANDS) + ["interv", "Match", "nomatch", "kset2", "--N", "-h"]
+
+
+def _draw_options(data, flags):
+    """(flag, value or None) pairs: flags in any order, now and then one or
+    two dropped, each mostly with a good value, and now and then a stray flag
+    of any kind."""
+    pairs, drop = [], data.draw(st.sampled_from([0, 0, 1, 1, 2]))
+    for flag in data.draw(st.permutations(flags))[drop:]:
+        good = data.draw(st.integers(0, 9)) > 0
+        pairs.append((flag, data.draw(st.sampled_from(
+            _GOOD.get(flag, [None]) if good else _VALUES + [None]))))
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        stray = (data.draw(st.sampled_from(_FLAGS)), data.draw(st.sampled_from(_VALUES + [None])))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), stray)
+    return pairs
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(st.data())
+def test_direct_parse_agrees_with_argparse(data):
+    # an argv that _parse reads gives the Namespace that argparse gives
+    command = data.draw(st.sampled_from(_COMMANDS))
+    pairs = _draw_options(data, ["--config", "--format", "--precision"]) + [(command, None)] \
+        + _draw_options(data, list(nacf.cli._COMMAND_INDEX.get(command, ["--bogus"])))
+    argv = [token for pair in pairs for token in pair if token is not None]
+    args = nacf.cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(nacf.cli.build_parser().parse_args(argv)), argv
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
