@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Union
+from typing import Optional, Union
 
 
 class MixedRadicands(ArithmeticError):
@@ -293,8 +293,13 @@ def compare_exact(x, y) -> int:
     the sign of x - y is decided on the integer views by cross-multiplication
     and squaring only.
     """
-    xa, xb, xc, xd = _surd_parts(x)
-    ya, yb, yc, yd = _surd_parts(y)
+    return _compare_views(_surd_parts(x), _surd_parts(y))
+
+
+def _compare_views(x: tuple, y: tuple) -> int:
+    """:func:`compare_exact` of two integer views (a, b, c, d) with c > 0."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
     return _sign3(xa * yc - ya * xc, xb * yc, xd, -yb * xc, yd)
 
 
@@ -369,6 +374,35 @@ def solve_mobius_fixed_point(m, shift: int, lo=None, hi=None) -> ExactNumber:
     if len(hits) > 1:
         raise NoRootInRange("two roots in range; the range must isolate one")
     return hits[0]
+
+
+def _root_view(c2: int, c1: int, c0: int) -> Optional[tuple]:
+    """The integer view (a, b, c, d) of the one root >= 0 of
+    c2*x^2 + c1*x + c0, or None where [0, oo) holds no root or two: the
+    rule of ``solve_mobius_fixed_point(m, s, lo=0, hi=None)``, decided from
+    the signs of the coefficients and the discriminant alone.
+
+    With c2 > 0, two distinct roots have the product c0/c2 and the sum
+    -c1/c2, so exactly one is >= 0 (the larger) when c0 < 0, or when c0 = 0
+    and the other root -c1/c2 is negative; c0 > 0 puts both on one side,
+    and a negative discriminant needs c0 > 0.  A double root -c1/(2*c2)
+    counts once.  The view's radicand is the discriminant, perfect square
+    or not; ``surd`` collapses a square to a Fraction.
+    """
+    if c2 < 0:  # the same roots, under a positive leading coefficient
+        c2, c1, c0 = -c2, -c1, -c0
+    elif c2 == 0:
+        if c1 == 0:
+            raise DegenerateEquation("all coefficients of degree >= 1 vanish")
+        if c1 < 0:
+            c1, c0 = -c1, -c0
+        return (-c0, 0, c1, 0) if c0 <= 0 else None
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc == 0:
+        return (-c1, 0, 2 * c2, 0) if c1 <= 0 else None
+    if c0 < 0 or (c0 == 0 and c1 > 0):
+        return (-c1, 1, 2 * c2, disc)
+    return None
 
 
 def rational_between(lo, hi) -> Fraction:

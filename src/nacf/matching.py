@@ -5,7 +5,9 @@ alpha + 1 meet: T^K(alpha) = T^L(alpha + 1).  Stability of a matched pair
 is decided through the projective criterion ADD_ONE * M_K ~ M_L on the
 digit matrices of the two orbits; stable pairs persist on a parameter
 interval, the cylinder of both orbits' digit prefixes.  That is one bound
-pair, solved on the prefix matrices the orbits hold and clamped once.
+pair, solved on the prefix matrices the orbits hold and clamped once; the
+bounds are solved and compared as integer views, and only the final pair
+becomes surds.
 Rationals that sit in no matching interval admit a mod-2 obstruction
 certificate, and a mod-N congruence obstruction rules out matching inside
 the coprime region.
@@ -44,8 +46,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .exact import (ExactNumber, NoRootInRange, compare_exact, format_exact,
-                    rational_between, solve_mobius_fixed_point, surd, _as_exact)
+from .exact import (ExactNumber, compare_exact, format_exact, rational_between,
+                    surd, _as_exact, _compare_views, _root_view)
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, digit_set,
                         projective_equiv, step, _running_products)
@@ -341,33 +343,41 @@ def _cylinder(n: int, orbits) -> ParamInterval:
     # with the argument shifted by one (last digit 1: the orbit exits through
     # alpha + 1); a one-digit word ending in 1 has only the first.  Every
     # bound is open: keep the largest lower and the smallest upper root (the
-    # earlier on a tie), and clamp them to (0, sqrt(N)-1] once.
+    # earlier on a tie), and clamp them to (0, sqrt(N)-1] once.  Roots are
+    # solved and compared as integer views, read from the prefix's four
+    # entries, and only the two that survive become surds.
     lo = hi = None
     for s, digits, products in orbits:
-        prefix = IDENTITY
+        pa, pb, pc, pd = 1, 0, 0, 1  # the prefix M_{depth-1}
         for depth, (d, word) in enumerate(zip(digits, products), 1):
-            a1 = _boundary(prefix @ Mobius.branch(n, d + 1), s)
-            a2 = (_boundary(word, s) if d > 1 else
-                  _boundary(prefix @ ADD_ONE, s) if depth >= 2 else None)
+            e = d + 1  # prefix @ branch(n, d + 1), then the word or prefix @ ADD_ONE
+            a1 = _root(pb, n * pa + e * pb, pd, n * pc + e * pd, s)
+            a2 = (_root(word.a, word.b, word.c, word.d, s) if d > 1 else
+                  _root(pa, pa + pb, pc, pc + pd, s) if depth >= 2 else None)
             low, high = (a1, a2) if depth % 2 == 1 else (a2, a1)
             if low is None:
                 raise EmptyInterval("left boundary has no positive solution")
-            if lo is None or compare_exact(low, lo) > 0:
+            if lo is None or _compare_views(low, lo) > 0:
                 lo = low
-            if high is not None and (hi is None or compare_exact(high, hi) < 0):
+            if high is not None and (hi is None or _compare_views(high, hi) < 0):
                 hi = high
-            prefix = word
-    edge = alpha_max(n)
+            pa, pb, pc, pd = word.a, word.b, word.c, word.d
+    lo, edge = _value(lo), alpha_max(n)
+    hi = None if hi is None else _value(hi)
     if hi is None or compare_exact(hi, edge) > 0:
         return ParamInterval(lo, edge, True, False)
     return ParamInterval(lo, hi, True, True)
 
 
-def _boundary(m: Mobius, s: int) -> Optional[ExactNumber]:
-    try:
-        return solve_mobius_fixed_point(m, s, lo=Fraction(0), hi=None)
-    except NoRootInRange:
-        return None
+def _root(a: int, b: int, c: int, d: int, s: int) -> Optional[tuple]:
+    # the view of the root >= 0 of x + s = (a*x + b)/(c*x + d), as
+    # solve_mobius_fixed_point((a, b, c, d), s, lo=0) expands and picks it
+    return _root_view(c, d + s * c - a, s * d - b)
+
+
+def _value(view: tuple) -> ExactNumber:
+    a, b, c, d = view
+    return surd(a, b, d, c)
 
 
 def cylinder_interval(kind: str, digits: Sequence[int], n: int) -> ParamInterval:
@@ -377,6 +387,9 @@ def cylinder_interval(kind: str, digits: Sequence[int], n: int) -> ParamInterval
     largest lower and the smallest upper one, clamped once to (0, sqrt(N)-1].
     (The innermost pair alone is not sound: it can poke out of a shorter
     prefix's cylinder when alpha sits close to a shallower branch boundary.)
+    For N >= 3 the bound of the word itself (last digit > 1) can be attained
+    and is still reported open: alpha = 5/14 at N = 3 has the alpha + 1 word
+    (1, 2, 5, 2), whose cylinder is (5/14, (-11+2*sqrt(46))/7).
     """
     digits = tuple(int(d) for d in digits)
     if not digits or any(d < 1 for d in digits):

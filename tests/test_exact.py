@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (approx_bounds, interval_compare, random_exact,
@@ -13,7 +13,8 @@ from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
                         solve_quadratic, surd, _decimal_str,
-                        _floor_linear_surd, _square_free_split)
+                        _floor_linear_surd, _root_view, _square_free_split,
+                        _surd_parts)
 
 
 def test_integer_sqrt_examples():
@@ -374,6 +375,69 @@ def test_fixed_point_shift_substitution():
 def test_no_root_in_range():
     with pytest.raises(NoRootInRange):
         solve_mobius_fixed_point((0, 2, 1, 0), 0, lo=Fraction(10), hi=Fraction(11))
+
+
+def _fixed_point_or_none(m, shift):
+    try:
+        return solve_mobius_fixed_point(m, shift, lo=Fraction(0), hi=None)
+    except NoRootInRange:
+        return None
+
+
+def _root_or_none(c2, c1, c0):
+    # the kernel's view as a value
+    view = _root_view(c2, c1, c0)
+    return None if view is None else surd(view[0], view[1], view[3], view[2])
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.tuples(*[st.integers(-50, 50)] * 4), st.sampled_from((0, 1)))
+@example((3, 7, 0, 3), 0)    # c2 = c1 = 0
+@example((1, 4, 0, 2), 0)    # linear: x - 4
+@example((0, 2, 1, 1), 0)    # x^2 + x - 2: the perfect-square root 1
+def test_root_view_agrees_with_the_fixed_point_solver(m, shift):
+    # the sign rule picks the root solve_mobius_fixed_point(m, s, lo=0)
+    # picks, as the same normalized value, and None where it finds none or two
+    a, b, c, d = m
+    equation = (c, d + shift * c - a, shift * d - b)
+    try:
+        want = _fixed_point_or_none(m, shift)
+    except DegenerateEquation:
+        with pytest.raises(DegenerateEquation):
+            _root_view(*equation)
+        return
+    got = _root_or_none(*equation)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert type(got) is type(want) and _surd_parts(got) == _surd_parts(want)
+
+
+def test_root_view_cases():
+    cases = {
+        (1, -2, 1): Fraction(1),            # zero discriminant, root 1
+        (-1, 2, -1): Fraction(1),           # the same, c2 < 0
+        (1, 2, 1): None,                    # zero discriminant, root -1
+        (1, 0, 0): Fraction(0),             # the double root 0
+        (1, 3, 0): Fraction(0),             # c0 = 0: roots 0 and -3
+        (1, -3, 0): None,                   # c0 = 0: roots 0 and 3
+        (-1, 0, 2): surd(0, 1, 8, 2),       # c2 < 0: roots -sqrt(2), sqrt(2)
+        (-1, -3, -2): None,                 # c2 < 0: roots -2, -1
+        (1, -3, 2): None,                   # two positive roots 1, 2
+        (1, 1, 1): None,                    # no real root
+        (1, -1, -2): Fraction(2),           # disc 9: roots -1, 2
+        (0, 2, -3): Fraction(3, 2),         # linear
+        (0, -2, -3): None,                  # linear, root -3/2
+        (0, 5, 0): Fraction(0),             # linear, root 0
+    }
+    for (c2, c1, c0), want in cases.items():
+        # (c2, c1, c0) is the fixed-point equation of (0, -c0, c2, c1) at shift 0
+        assert _fixed_point_or_none((0, -c0, c2, c1), 0) == want
+        got = _root_or_none(c2, c1, c0)
+        assert got == want and type(got) is type(want), (c2, c1, c0)
+    # a perfect-square discriminant is kept in the view and collapses in surd()
+    assert _root_view(1, -1, -2) == (1, 1, 2, 9)
+    with pytest.raises(DegenerateEquation):
+        _root_view(0, 0, 5)
 
 
 def test_parse_format_round_trip():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import nacf.exact
 import nacf.matching
 from nacf.cli import main
 from nacf.exact import (NoRootInRange, compare_exact, rational_between,
@@ -465,6 +466,28 @@ def test_matching_interval_reads_the_orbits_products(monkeypatch):
         else:
             mi = orbits.interval(40)
             assert (mi.K, mi.L, mi.interval) == want
+
+
+def test_cylinder_builds_surds_only_for_its_final_bounds(monkeypatch):
+    # every root is solved and compared as an integer view: a cylinder makes
+    # one surd for its lower bound and one for its upper root, if it has one
+    built = []
+
+    def counting_surd(*args):
+        built.append(args)
+        return surd(*args)
+
+    monkeypatch.setattr(nacf.matching, "surd", counting_surd)
+    monkeypatch.setattr(nacf.exact, "surd", counting_surd)
+    for kind, word, n, count in (("alpha", (26, 1, 2, 6), 2, 2),
+                                 ("alpha_plus_one", (1, 2, 5, 2), 3, 2),
+                                 ("alpha_plus_one", (1,), 5, 1)):
+        built.clear()
+        cylinder_interval(kind, word, n)
+        assert len(built) == count, (kind, word, n)
+    built.clear()
+    matching_interval(Fraction(2, 9), 2)
+    assert len(built) == 2
 
 
 def test_orbit_matrices_equal_branch_products_and_convergents():
