@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 
 class MixedRadicands(ArithmeticError):
@@ -131,7 +131,7 @@ class Surd:
         if b and d != self.d:
             r = math.isqrt(d * self.d)  # sqrt(d) = r*sqrt(self.d)/self.d when r*r = d*self.d
             if r * r != d * self.d:
-                raise MixedRadicands(f"sqrt({self.d}) vs sqrt({d})")
+                raise MixedRadicands(f"sqrt({_int_str(self.d)}) vs sqrt({_int_str(d)})")
             a, b, c = a * self.d, b * r, c * self.d
         return a, b, c
 
@@ -312,19 +312,18 @@ def floor_exact(x) -> int:
 def _floor_linear_surd(p: int, q: int, d: int, e: int) -> int:
     """floor((p + q*sqrt(d))/e) with e > 0, for any d >= 0.
 
-    q*sqrt(d) - 1 <= f <= q*sqrt(d) below, a perfect square d included, so
-    n starts at the floor or one below it and the exact upward test ends it.
+    With r = isqrt(q^2 d), f = floor(q*sqrt(d)) is r for q > 0; for q < 0
+    it is -r when q^2 d is a square and -r - 1 otherwise.  Since p and e are
+    integers, floor((p + q*sqrt(d))/e) = floor((p + f)/e).
     """
     if q == 0:
         return p // e
     if e <= 0:
         raise ValueError("floor kernel needs a positive denominator")
-    r = math.isqrt(q * q * d)  # floor(|q|*sqrt(d))
-    f = r if q > 0 else -r - 1
-    n = (p + f) // e
-    while _sign2(p - (n + 1) * e, q, d) >= 0:
-        n += 1
-    return n
+    m = q * q * d
+    r = math.isqrt(m)  # floor(|q|*sqrt(d))
+    f = r if q > 0 else (-r if r * r == m else -r - 1)
+    return (p + f) // e
 
 
 def is_rational(x) -> bool:
@@ -486,12 +485,20 @@ def _int_str(n: int) -> str:
 def format_exact(x) -> str:
     """Canonical text: "p/q" (or bare integer), "(a+b*sqrt(d))/c" with d squarefree."""
     a, b, c, d = _surd_parts(x)
-    if b:
-        s, d = _square_free_split(d)
-        if s > 1:  # a Surd's view is in lowest terms until s joins b
-            g = math.gcd(a, b * s, c)
-            a, b, c = a // g, b * s // g, c // g
-    return _view_str(a, b, c, d)
+    return _view_printer(d)(a, b, c) if b else _view_str(a, b, c, d)
+
+
+def _view_printer(d: int) -> Callable[[int, int, int], str]:
+    """:func:`format_exact` of the reduced views (a, b, c) over one radicand
+    d, as one function that splits d once for every view it prints."""
+    s, f = _square_free_split(d)
+    if s == 1:
+        return lambda a, b, c: _view_str(a, b, c, f)
+
+    def text(a: int, b: int, c: int) -> str:
+        g = math.gcd(a, b * s, c)  # a reduced view stays so until s joins b
+        return _view_str(a // g, b * s // g, c // g, f)
+    return text
 
 
 def _view_str(a: int, b: int, c: int, d: int) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, solve_mobius_fixed_point, surd, _as_exact,
@@ -24,6 +24,11 @@ from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
 
 class OutOfDomain(ValueError):
     """Point outside [alpha, alpha+1]."""
+
+    @classmethod
+    def at(cls, x) -> "OutOfDomain":
+        """The error for x, which prints x's integer view, radicand unsplit."""
+        return cls(f"{_view_str(*_surd_parts(x))} outside [alpha, alpha+1]")
 
 
 class NoValidTail(ValueError):
@@ -72,6 +77,35 @@ class Params:
         alpha can qualify too: N = 2, alpha = (-5+sqrt(33))/2 gives 5."""
         e = Fraction(self.N) / self.alpha - self.alpha
         return e.numerator if isinstance(e, Fraction) and e.denominator == 1 else None
+
+    @cached_property
+    def digit_range(self) -> range:
+        """:func:`digit_set`, computed once per parameter."""
+        return digit_set(self)
+
+    @cached_property
+    def rational_digit(self) -> Callable[[int, int], int]:
+        """The digit of a rational point t/s (lowest terms, t, s > 0), as one
+        kernel per parameter that :func:`step` and rational orbits share:
+        the floor of N*s/t - alpha, lowered by one when t/s is alpha and
+        the left-end rule of :func:`step` applies.  For a rational alpha =
+        aa/ac the floor is one integer division, and the left-end test is
+        made only where that rule exists."""
+        n, (aa, ab, ac, ad) = self.N, self.alpha_parts
+        if ab:  # a surd alpha is never the rational t/s
+            return lambda t, s: _floor_linear_surd(n * s * ac - aa * t, -ab * t, ad, t * ac)
+        nac = n * ac
+        if self.left_end_quotient is None:
+            return lambda t, s: (nac * s - aa * t) // (ac * t)
+
+        def digit(t: int, s: int) -> int:
+            d = (nac * s - aa * t) // (ac * t)
+            return d - 1 if t == aa and s == ac else d
+        return digit
+
+    def __reduce__(self):
+        # the cached kernels are closures, so a copy rebuilds them on use
+        return Params, (self.N, self.alpha)
 
     def contains(self, x) -> bool:
         """Membership of x in the closed interval [alpha, alpha+1]."""
@@ -274,25 +308,30 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
     maps to alpha + 1 instead.  Interior points with an integral quotient
     keep the plain floor (which already maps them back into the interval).
 
-    The map works on the integer view: for x = (a + b*sqrt(r))/c the
-    quotient N/x is N*c*(a - b*sqrt(r))/(a^2 - b^2 r); one floor-kernel call
-    (for a rational x, the digit kernel rational orbits share) takes its
-    floor against alpha, and one constructor call builds the result.  Over
-    two radicands N/x - alpha is no surd: its floor, floor(N/x) - floor(alpha)
-    or one less, is decided by an exact sign of N/x - (d+1) - alpha.
+    The map works on the integer view (a, b, c, r) of x = (a + b*sqrt(r))/c.
+    A rational x takes the digit kernel that rational orbits share
+    (:attr:`Params.rational_digit`).  A surd x under a rational alpha is
+    decided on its norm form G = a^2 - b^2 r, H = a*c, K = c^2, formed
+    once (:func:`_surd_step`).  Under a surd alpha, N/x is
+    N*c*(a - b*sqrt(r))/G; one floor-kernel call takes its floor against
+    alpha, and one constructor call builds the result.  Over two radicands
+    N/x - alpha is no surd: its floor, floor(N/x) - floor(alpha) or one
+    less, is decided by an exact sign of N/x - (d+1) - alpha.
     """
     x = _as_exact(x)
-    if not p.contains(x):
-        raise OutOfDomain(f"{_view_str(*_surd_parts(x))} outside [alpha, alpha+1]")
     a, b, c, r = _surd_parts(x)
-    if b == 0:
-        d = _rational_digit(p, a, c)  # N/x = N*c/a with a > 0 on the domain
-        return d, Fraction(p.N * c - d * a, a)
     aa, ab, ac, ad = p.alpha_parts
+    if b and not ab:
+        return _surd_step(p, x, a * a - b * b * r, a * c, c * c)
+    if not p.contains(x):
+        raise OutOfDomain.at(x)
+    if b == 0:
+        d = p.rational_digit(a, c)  # N/x = N*c/a with a > 0 on the domain
+        return d, Fraction(p.N * c - d * a, a)
     qa, qb, qc = p.N * c * a, -p.N * c * b, a * a - b * b * r
     if qc < 0:
         qa, qb, qc = -qa, -qb, -qc
-    if ab == 0 or ad == r:
+    if ad == r:
         d = _floor_linear_surd(qa * ac - aa * qc, qb * ac - ab * qc, r, qc * ac)
     else:
         d = _floor_linear_surd(qa, qb, r, qc) - floor_exact(p.alpha) - 1
@@ -303,15 +342,55 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
     return d, surd(qa - d * qc, qb, r, qc)
 
 
-def _rational_digit(p: Params, t: int, s: int) -> int:
-    """The digit of the rational point t/s (lowest terms, t, s > 0): the
-    floor of N*s/t - alpha on the integer view of alpha, lowered by one
-    when t/s is alpha and the left-end rule of :func:`step` applies."""
-    aa, ab, ac, ad = p.alpha_parts
-    d = _floor_linear_surd(p.N * s * ac - aa * t, -ab * t, ad, t * ac)
-    if t == aa and s == ac and ab == 0 and p.left_end_quotient is not None:
-        d -= 1
-    return d
+def _norm_sign(a: int, b: int, c: int, G: int, H: int, K: int, u: int, v: int) -> int:
+    """Sign of x - u/v for x = (a + b*sqrt(r))/c with b != 0 and v > 0, from
+    the norm form G = a^2 - b^2 r, H = a*c, K = c^2 of x.
+
+    x - u/v has the sign of P + b*v*sqrt(r) with P = a*v - u*c: the sign of
+    b where P shares it, and otherwise that of the larger square.  The b
+    term wins (P = 0 among those cases) when P^2 - b^2 v^2 r =
+    v^2 G - 2uv H + u^2 K is negative; it is never 0, as r is no square.
+    With u and v small, every product is big by small.
+    """
+    if ((a * v - u * c) > 0) == (b > 0) or v * v * G - 2 * u * v * H + u * u * K < 0:
+        return 1 if b > 0 else -1
+    return -1 if b > 0 else 1
+
+
+def _surd_step(p: Params, x: Surd, G: int, H: int, K: int) -> tuple[int, Surd]:
+    """:func:`step` of a surd x = (a + b*sqrt(r))/c under a rational alpha =
+    aa/ac, decided on the norm form G = a^2 - b^2 r, H = a*c, K = c^2 of x.
+
+    Each decision is one :func:`_norm_sign` against a small rational: the
+    domain test compares x with alpha and alpha + 1, and the digit is the
+    largest m of the digit range with N/x - alpha >= m, that is with
+    x <= N*ac/(m*ac + aa), found by binary search.  An irrational x is never
+    alpha, so the left-end rule never applies.  The image is
+    N/x - d = (N*H - d*G - N*c*b*sqrt(r))/G, and g = gcd(N*c*gcd(a, b), G)
+    is the gcd of its three integers, because N*H - d*G differs from N*c*a
+    by a multiple of G.
+    """
+    a, b, c, r = x.a, x.b, x.c, x.d
+    aa, _, ac, _ = p.alpha_parts
+    if _norm_sign(a, b, c, G, H, K, aa, ac) < 0 or \
+            _norm_sign(a, b, c, G, H, K, aa + ac, ac) > 0:
+        raise OutOfDomain.at(x)
+    n, digits = p.N, p.digit_range
+    u, lo, hi = n * ac, digits.start, digits.stop - 1  # lo fits on the domain
+    while lo < hi:
+        m = (lo + hi + 1) // 2
+        if _norm_sign(a, b, c, G, H, K, u, m * ac + aa) < 0:
+            lo = m
+        else:
+            hi = m - 1
+    nc = n * c
+    g = math.gcd(nc * math.gcd(a, b), G)
+    if G < 0:
+        g = -g
+    na, nb = n * H - lo * G, -nc * b
+    if g == 1:
+        return lo, Surd(na, nb, G, r)
+    return lo, Surd(na // g, nb // g, G // g, r)
 
 
 def digit_stream(x, p: Params) -> Iterator[int]:

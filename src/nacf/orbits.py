@@ -1,16 +1,18 @@
 """Exact orbit computation with cycle detection.
 
 The digit rule and the running branch product each live once, in
-:mod:`nacf.expansion`: a rational orbit takes its digits from the kernel
-that :func:`step` uses.  Rational points are tracked both through reduced
-fractions (which decide periodicity) and through the raw recurrence
-t' = N*s - d*t, s' = t that the divisibility arguments reason about.  For
-t/s in lowest terms, gcd(N*s - d*t, t) = gcd(N, t), so each step divides
-by a gcd taken with N instead of one between two growing numerators.  The
-same fact ties the two tracks together: the raw pair is cof times the
-reduced pair, with cof = prod gcd(N, t_k) over the steps so far.  That
-implies rt*s = t*rs, and checking it costs two big-by-small products once
-the orbit turns coprime with N, where every later gcd is 1.
+:mod:`nacf.expansion`: a rational orbit takes its digits from the
+per-parameter kernel that :func:`step` uses, and a quadratic orbit under a
+rational alpha steps on the norm form (a^2 - b^2 r, a*c, c^2) of each
+point, which its own triple check forms.  Rational points are tracked
+both through reduced fractions (which decide periodicity) and through the
+raw recurrence t' = N*s - d*t, s' = t that the divisibility arguments
+reason about.  For t/s in lowest terms, gcd(N*s - d*t, t) = gcd(N, t), so
+each step divides by a gcd taken with N instead of one between two growing
+numerators.  The same fact ties the two tracks together: the raw pair is
+cof times the reduced pair, with cof = prod gcd(N, t_k) over the steps so
+far.  That implies rt*s = t*rs, and checking it costs two big-by-small
+products once the orbit turns coprime with N, where every later gcd is 1.
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
 
@@ -33,9 +35,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional
 
-from .exact import (Surd, compare_exact, format_exact, _as_exact, _surd_parts,
-                    _view_str)
-from .expansion import OutOfDomain, Params, all_digits_coprime, step, _rational_digit
+from .exact import Surd, compare_exact, _as_exact, _surd_parts, _view_printer
+from .expansion import OutOfDomain, Params, all_digits_coprime, step, _surd_step
 
 
 class InvariantViolation(RuntimeError):
@@ -163,11 +164,12 @@ class OrbitTrace:
         triple recurrence of :func:`orbit_quadratic` for a quadratic one.
         Decimal's str is linear in the digits, where int's is quadratic, so
         no raw integer goes through int's str (a quadratic point's value is
-        still written by format_exact).  Each block of lines is computed
-        inside ``localcontext`` of an exact context (Inexact and Rounded
-        trapped) and yielded outside it, so the caller never runs in that
-        context.  A reduced value is the raw pair divided by cof with ``//``.
-        After the last line the shadow's last t (or triple) must equal the
+        still written in format_exact's form, with the orbit's one radicand
+        split once).  Each block of lines is computed inside
+        ``localcontext`` of an exact context (Inexact and Rounded trapped)
+        and yielded outside it, so the caller never runs in that context.
+        A reduced value is the raw pair divided by cof with ``//``.  After
+        the last line the shadow's last t (or triple) must equal the
         integer orbit's, or InvariantViolation is raised.
         """
         lines = self._rational_lines() if self.kind == "rational" else self._quadratic_lines()
@@ -181,33 +183,41 @@ class OrbitTrace:
     def _rational_lines(self) -> Iterator[str]:
         # the raw s_n is t_{n-1}, so each line converts one new integer;
         # x_0 is in lowest terms, so cof_0 = 1 and its raw pair is points[0]
-        n, digits = Decimal(self.params.N), self.digits
-        t, s = map(Decimal, self.points[0])
+        n, points, cofs, digits = Decimal(self.params.N), self.points, self.cofs, self.digits
+        t, s = map(Decimal, points[0])
         s_text = str(s)
-        for i, ((_, den), cof) in enumerate(zip(self.points, self.cofs)):
+        for i, ((_, den), cof, d) in enumerate(zip(points, cofs, digits)):
             t_text = str(t)
             if cof == 1:
                 value = t_text if den == 1 else f"{t_text}/{s_text}"
             else:
                 value = str(t // cof) if den == 1 else f"{t // cof}/{s // cof}"
-            d = digits[i] if i < len(digits) else "null"
             yield f'{{"digit": {d}, "n": {i}, "s": {s_text}, "t": {t_text}, "value": "{value}"}}'
-            if i < len(digits):
-                t, s = n * s - d * t, t
+            t, s = n * s - d * t, t
             s_text = t_text
-        if t != self.cofs[-1] * self.points[-1][0]:
+        # the last state emits no digit
+        t_text, (_, den), cof = str(t), points[-1], cofs[-1]
+        if cof == 1:
+            value = t_text if den == 1 else f"{t_text}/{s_text}"
+        else:
+            value = str(t // cof) if den == 1 else f"{t // cof}/{s // cof}"
+        yield (f'{{"digit": null, "n": {len(digits)}, "s": {s_text}, "t": {t_text}, '
+               f'"value": "{value}"}}')
+        if t != cof * points[-1][0]:
             raise InvariantViolation("decimal shadow disagrees with the integer orbit")
 
     def _quadratic_lines(self) -> Iterator[str]:
-        # A_n is C_{n-1}, so each line converts two new integers
+        # A_n is C_{n-1}, so each line converts two new integers; every
+        # point keeps x_0's radicand, which is split once to print them all
         n, digits = Decimal(self.params.N), self.digits
         a, b, c = map(Decimal, self.coeffs[0][:3])
         a_text = str(a)
+        text = _view_printer(self.points[0].d)
         for i, x in enumerate(self.points):
             c_text = str(c)
             d = digits[i] if i < len(digits) else "null"
             yield (f'{{"A": {a_text}, "B": {b!s}, "C": {c_text}, "digit": {d}, '
-                   f'"n": {i}, "value": "{format_exact(x)}"}}')
+                   f'"n": {i}, "value": "{text(x.a, x.b, x.c)}"}}')
             if i < len(digits):
                 a, b, c = c, n * b + 2 * d * c, n * n * a + n * b * d + c * d * d
             a_text = c_text
@@ -244,11 +254,11 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     if not isinstance(x, Fraction):
         raise TypeError("orbit_rational needs a rational starting point")
     if not p.contains(x):
-        raise OutOfDomain(f"{x} outside [alpha, alpha+1]")
+        raise OutOfDomain.at(x)
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    N = p.N
+    N, digit = p.N, p.rational_digit
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
     cof = 1                                 # raw = cof * reduced
@@ -258,7 +268,7 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     verdict = Verdict(NO_PERIOD)
 
     for n in range(1, budget + 1):
-        d = _rational_digit(p, t, s)
+        d = digit(t, s)
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")
         rt, rs = N * rs - d * rt, rt
@@ -305,19 +315,26 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     (substitution must give exactly zero) and against the discriminant law
     disc_n = N^(2n) * disc_0.  Cycle detection keys on each point's reduced
     (a, b, c), exact since every point keeps x0's radicand.
+
+    The substitution check forms the norm form G = a^2 - b^2 r, H = a*c,
+    K = c^2 of each point; under a rational alpha the next step is decided
+    on those same three integers (:func:`nacf.expansion._surd_step`), so a
+    point's big products are formed once.  A surd alpha takes :func:`step`.
     """
     x0 = _as_exact(x0)
     if not isinstance(x0, Surd):
         raise ValueError("orbit_quadratic needs a genuinely irrational quadratic")
     if not p.contains(x0):
-        raise OutOfDomain(f"{_view_str(*_surd_parts(x0))} outside [alpha, alpha+1]")
+        raise OutOfDomain.at(x0)
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
     A, B, C = quad_coefficients(x0)
     disc0 = B * B - 4 * A * C
     nn, scale = p.N * p.N, 1  # scale = N^(2n), kept running
-    x = x0
+    x, (a, b, c, r) = x0, _surd_parts(x0)
+    G, H, K = a * a - b * b * r, a * c, c * c  # the norm form of x
+    kernel = p.alpha_parts[1] == 0  # a rational alpha: step on the norm form
     # the centre -B/(2A) of the primitive triple is x0.a/x0.c and A > 0
     coeffs, points = [(A, B, C, 1 if x0.b > 0 else -1)], [x0]
     digits: list[int] = []
@@ -325,13 +342,15 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     verdict = Verdict(NO_PERIOD)
 
     for n in range(1, budget + 1):
-        d, x = step(x, p)
+        d, x = _surd_step(p, x, G, H, K) if kernel else step(x, p)
         A, B, C = C, p.N * B + 2 * d * C, nn * A + p.N * B * d + C * d * d
         # for x = (a + b*sqrt(r))/c with b != 0, c^2 (A x^2 + B x + C) is
         # A(a^2 + b^2 r) + B a c + C c^2 + b (2 A a + B c) sqrt(r), which
-        # vanishes exactly when both parts do
-        a, b, c, r = x.a, x.b, x.c, x.d
-        if 2 * A * a + B * c != 0 or A * (a * a + b * b * r) + B * a * c + C * c * c != 0:
+        # vanishes exactly when both parts do; its products are x's norm form
+        a, b, c = x.a, x.b, x.c
+        aa, bbr = a * a, b * b * r
+        G, H, K = aa - bbr, a * c, c * c
+        if 2 * A * a + B * c != 0 or A * (aa + bbr) + B * H + C * K != 0:
             raise InvariantViolation("coefficient triple lost the orbit point")
         scale *= nn
         if B * B - 4 * A * C != scale * disc0:

@@ -3,6 +3,9 @@
 The oracles here deliberately avoid the package's own comparison and floor
 paths: everything is bounded through integer square roots at a fixed
 bit-precision, so library results can be cross-checked independently.
+The one exception, :func:`step_by_definition`, checks the map's kernels
+against its definition through the generic Surd arithmetic and
+compare_exact.
 """
 
 import math
@@ -110,3 +113,22 @@ def brute_digits(x, p, count):
         x = Fraction(p.N) / x - d
         out.append(d)
     return out
+
+
+def step_by_definition(x, p):
+    """(d, N/x - d) with d the largest integer for which N/x - d >= alpha,
+    found by exact comparisons alone and lowered by one at x = alpha when
+    N/alpha - alpha is an integer."""
+    quotient = Fraction(p.N) / x
+    def fits(d):
+        return compare_exact(quotient - d, p.alpha) >= 0
+    lo, hi = 0, 1  # N/x >= sqrt(N) > alpha on the domain, so fits(0)
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    e = Fraction(p.N) / p.alpha - p.alpha
+    if compare_exact(x, p.alpha) == 0 and isinstance(e, Fraction) and e.denominator == 1:
+        lo -= 1
+    return lo, quotient - lo

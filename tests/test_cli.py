@@ -471,6 +471,16 @@ def test_domain_errors_exit_two(capsys):
         assert (code, out, err) == (2, "", message)
 
 
+def test_domain_errors_print_x_of_any_size(capsys):
+    # past 4300 digits str() of an int raises on Python 3.11+; the message
+    # still names x, rational or surd, for an orbit and an expansion alike
+    ones = "1" * 5000  # no multiple of 3, so x/3 is in lowest terms
+    for x in (f"{ones}/3", f"({ones}+1*sqrt(2))/3"):
+        for argv in (("orbit",), ("expand", "--n", "3")):
+            assert run(capsys, *argv, "--x", x, "--N", "2", "--alpha", "1/3") == (
+                2, "", f"error: {x} outside [alpha, alpha+1]\n"), (argv, x[-12:])
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "nacf.conf"
     cfg.write_text("precision = 4\nformat = json\nbudget = 50\n")

@@ -155,6 +155,15 @@ def test_mixed_radicands_rejected():
         x.__rtruediv__(y)
 
 
+def test_mixed_radicands_message_prints_any_radicand():
+    # past 4300 digits str() of an int raises on Python 3.11+; the message
+    # prints both radicands whole
+    big = 10 ** 5000 + 1  # no square, and 2*big is none either
+    with pytest.raises(MixedRadicands) as info:
+        surd(0, 1, 2) + surd(0, 1, big)
+    assert str(info.value) == f"sqrt(2) vs sqrt(1{'0' * 4999}1)"
+
+
 def test_division_by_zero():
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError, match="division by zero"):
@@ -228,18 +237,23 @@ def test_floor_examples():
 
 
 def test_floor_kernel_rejects_a_non_positive_denominator():
-    # the upward correction only terminates for e > 0
+    # the nested floor floor((p + f)/e) holds only for e > 0
     for e in (0, -1):
         with pytest.raises(ValueError, match="positive denominator"):
             _floor_linear_surd(0, 1, 2, e)
     assert _floor_linear_surd(7, 0, 0, 2) == 3
 
 
-def _floor_reference(p, q, d, e):
-    # floor((p + q*sqrt(d))/e) = floor((p + floor(q*sqrt(d)))/e) for e > 0
-    r = math.isqrt(q * q * d)
-    f = r if q >= 0 else -r if r * r == q * q * d else -r - 1
-    return (p + f) // e
+def _at_most(m, q, d):
+    # m <= q*sqrt(d) for integers m, q and d >= 0, by signs and squares alone
+    if q >= 0:
+        return m <= 0 or m * m <= q * q * d
+    return m <= 0 and m * m >= q * q * d
+
+
+def _is_floor(n, p, q, d, e):
+    # n*e <= p + q*sqrt(d) < (n + 1)*e: n is the floor, whatever computed it
+    return _at_most(n * e - p, q, d) and not _at_most((n + 1) * e - p, q, d)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -248,8 +262,26 @@ def _floor_reference(p, q, d, e):
        st.integers(1, 10**4))
 def test_floor_kernel_on_any_radicand(p, q, d, e):
     # unsplit radicands reach the kernel: a cut's m*m + 4N can be a square
-    assert _floor_linear_surd(p, q, d, e) == _floor_reference(p, q, d, e)
+    assert _is_floor(_floor_linear_surd(p, q, d, e), p, q, d, e)
     assert _decimal_str(p, q, e, d, 3) == decimal_str(surd(p, q, d, e), 3)
+
+
+_BIG = 1 << 400
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG),
+       st.one_of(st.just(0), st.integers(0, _BIG).map(lambda r: r * r), st.integers(0, _BIG)),
+       st.integers(1, _BIG))
+@example(0, -1, 4, 1)              # -sqrt(4) = -2 exactly
+@example(5, -3, 9, 2)              # (5 - 9)/2 = -2 exactly
+@example(-7, -1, 0, 3)             # d = 0: floor(-7/3)
+@example(0, -1, 2, 1)              # -sqrt(2) in (-2, -1)
+@example(1 - (1 << 200), -1, 1 << 400, 1)  # -(2^200 - 1) - 2^200 exactly
+def test_floor_kernel_is_exact_in_one_step(p, q, d, e):
+    # large operands, q < 0, perfect squares and d = 0, against the
+    # bracketing test above: no upward search is left to mend a wrong start
+    assert _is_floor(_floor_linear_surd(p, q, d, e), p, q, d, e)
 
 
 def test_floor_property():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (approx_bounds, brute_digits, random_params,
-                      random_rational_in, random_surd_in)
+                      random_rational_in, random_surd_in, step_by_definition)
 from nacf.exact import Surd, compare_exact, floor_exact, surd
 from nacf.expansion import (ADD_ONE, DigitWord, Mobius, NoValidTail,
                             OutOfDomain, Params, Undecidable,
@@ -27,6 +28,13 @@ def test_params_validation():
         Params(1, Fraction(1, 3))
     with pytest.raises(ValueError):
         Params(5, Fraction(0))
+
+
+def test_params_pickle_after_their_kernels_are_built():
+    for p in (Params(5, Fraction(1)), Params(2, Fraction(2, 5)), Params(2, alpha_max(2))):
+        assert p.rational_digit(1, 1) == step(Fraction(1), p)[0]
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy.rational_digit(1, 1) == p.rational_digit(1, 1)
 
 
 def test_digit_set_examples():
@@ -156,25 +164,6 @@ def _step_inputs(draw):
     return x, p
 
 
-def _step_by_definition(x, p):
-    """(d, N/x - d) with d the largest integer for which N/x - d >= alpha,
-    found by exact comparisons alone and lowered by one at x = alpha when
-    N/alpha - alpha is an integer."""
-    quotient = Fraction(p.N) / x
-    def fits(d):
-        return compare_exact(quotient - d, p.alpha) >= 0
-    lo, hi = 0, 1  # N/x >= sqrt(N) > alpha on the domain, so fits(0)
-    while fits(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    e = Fraction(p.N) / p.alpha - p.alpha
-    if compare_exact(x, p.alpha) == 0 and isinstance(e, Fraction) and e.denominator == 1:
-        lo -= 1
-    return lo, quotient - lo
-
-
 @settings(derandomize=True, max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(_step_inputs())
@@ -182,9 +171,10 @@ def _step_by_definition(x, p):
 @example((Fraction(1), Params(5, Fraction(1))))                  # rational cut point
 @example((surd(-1, 1, 3), Params(3, surd(-1, 1, 2, 2))))        # two radicands
 @example((surd(-1, 1, 5, 2), Params(2, Fraction(2, 5))))        # surd x, rational alpha
+@example((surd(12, 1, 2, 10), Params(5, Fraction(6, 5))))      # rational part alpha
 def test_step_matches_its_definition(case):
     x, p = case
-    assert step(x, p) == _step_by_definition(x, p)
+    assert step(x, p) == step_by_definition(x, p)
 
 
 def test_step_stays_in_interval():

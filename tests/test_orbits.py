@@ -9,8 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_params, random_rational_in, random_surd_in
-from nacf.exact import compare_exact, format_exact, surd
+from conftest import (random_params, random_rational_in, random_surd_in,
+                      step_by_definition)
+from nacf.exact import compare_exact, floor_exact, format_exact, surd
 from nacf import orbits
 from nacf.expansion import OutOfDomain, Params, expand, step, xi
 from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE, InvariantViolation,
@@ -164,6 +165,37 @@ def test_quadratic_states_track_the_point():
             # rebuild the selected root from the triple alone
             disc = st.B * st.B - 4 * st.A * st.C
             assert surd(-st.B, st.root_sign, disc, 2 * st.A) == v
+
+
+def test_quadratic_orbit_follows_the_map_by_definition():
+    # the norm-form kernel (rational alpha) and the floor kernel (surd alpha)
+    # against Surd arithmetic and compare_exact alone.  A small alpha widens
+    # the digit range to hundreds of digits, so the kernel's binary search
+    # takes several probes; 150 steps take the operands to hundreds of bits.
+    rng = random.Random(41)
+    cases = [(random_surd_in(p, rng), p)
+             for p in (Params(5, Fraction(6, 5)), Params(7, Fraction(8, 5)))]
+    for n in range(2, 10):
+        p = Params(n, Fraction(1, rng.randint(20, 60)))
+        cases.append((random_surd_in(p, rng), p))
+        r = rng.choice((2, 3, 5, 6, 7, 10, 11, 13))
+        p = Params(n, surd(-math.isqrt(r), 1, r, rng.randint(10, 40)))
+        cases.append((p.alpha + Fraction(rng.randint(1, 9), 10), p))  # alpha's field
+        other = rng.choice([d for d in (2, 3, 5, 7) if d != r])
+        cases.append((Fraction(floor_exact(p.alpha * 10) + 6, 10)
+                      - surd(-math.isqrt(other), 1, other, 10), p))  # another radicand
+    bits, probes, full = 0, 0, 0
+    for x, p in cases:
+        assert p.contains(x)
+        trace = orbit_quadratic(x, p, 150)
+        y = x
+        for k, d in enumerate(trace.digits):
+            assert (d, trace.value_at(k + 1)) == step_by_definition(y, p), (x, p, k)
+            y = trace.value_at(k + 1)
+        bits = max(bits, y.a.bit_length(), y.b.bit_length(), y.c.bit_length())
+        probes = max(probes, len(p.digit_range).bit_length())
+        full += len(trace.digits) == 150
+    assert bits >= 200 and probes >= 8 and full >= 20
 
 
 def test_discriminant_ratio_follows_powers():
@@ -350,13 +382,14 @@ def test_trace_json_lines():
     lambda x: surd(x.a, 2 * x.b, x.d, x.c),  # keeps it, breaks the rational part
 ], ids=["shifted", "surd-part-doubled"])
 def test_quadratic_check_catches_a_lost_point(monkeypatch, moved):
-    real_step = orbits.step
+    # random_params draws a rational alpha, so the orbit steps on the norm form
+    real_step = orbits._surd_step
 
-    def lost_step(x, p):
-        d, nxt = real_step(x, p)
+    def lost_step(p, x, *norm_form):
+        d, nxt = real_step(p, x, *norm_form)
         return d, moved(nxt)
 
-    monkeypatch.setattr(orbits, "step", lost_step)
+    monkeypatch.setattr(orbits, "_surd_step", lost_step)
     rng = random.Random(31)
     for _ in range(5):
         p = random_params(rng)
