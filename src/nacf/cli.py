@@ -38,7 +38,9 @@ VERIFY_K_VALUES_MAX = 1000  # each value runs up to four family checks
 VERIFY_K_MAX = 10_000  # operands grow with k's digits: a value costs ~170x more at 4200
 EXPAND_N_MAX = 50_000  # the word is held in memory; its digits grow with n
 ORBIT_BUDGET_MAX = 20_000  # its integers grow with each step: 176 MB of output at 20 000
-QUADRATIC_BUDGET_MAX = 2500  # its surds outgrow its output: 3 s at 2500 steps, 25 s at 5000
+# the surds of a quadratic orbit or a surd's expansion outgrow the output: under
+# 3 s at 2500 steps, but an orbit takes 25 s at 5000 and expand 42 s at 10000
+QUADRATIC_BUDGET_MAX = 2500
 MATCH_BUDGET_MAX = 20_000  # its orbits are held: 1 s, 45 MB at 20 000; 1.3 GB past 30 s at 10^8
 
 
@@ -120,6 +122,8 @@ def _interval_text(iv, precision):
 def _cmd_expand(args, cfg):
     if args.n > EXPAND_N_MAX:
         raise ValueError(f"expand needs n <= {EXPAND_N_MAX}, got {args.n}")
+    if not isinstance(args.x, Fraction) and args.n > QUADRATIC_BUDGET_MAX:
+        raise ValueError(f"expand of a surd needs n <= {QUADRATIC_BUDGET_MAX}, got {args.n}")
     p = Params(args.N, args.alpha)
     word = expand(args.x, p, args.n)
     if cfg["format"] == "json":

@@ -277,6 +277,14 @@ def surd_arith(x, y, op: str) -> ExactNumber:
     return _OPS[op](_as_exact(x), _as_exact(y))
 
 
+def _lowest_terms(t: int, s: int) -> Fraction:
+    # t/s with gcd(t, s) = 1 and s > 0, built without Fraction's gcd; the
+    # private constructor keyword differs across Python versions.
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = t, s
+    return f
+
+
 def _surd_parts(x) -> tuple[int, int, int, int]:
     # The integer view (a, b, c, d) of x = (a + b*sqrt(d))/c with c > 0;
     # b = d = 0 for a rational.
@@ -424,19 +432,29 @@ def rational_between(lo, hi) -> Fraction:
 
 def decimal_str(x, places: int) -> str:
     """Decimal rendering of an exact value, rounded half-up. Display only."""
-    return _decimal_str(*_surd_parts(x), places)
+    return _decimal_printer(places)(*_surd_parts(x))
 
 
 def _decimal_str(a: int, b: int, c: int, d: int, places: int) -> str:
     """:func:`decimal_str` of the integer view (a, b, c, d), for any d >= 0."""
-    # floor(x*10^k + 1/2) = floor((2a*10^k + c + 2b*10^k*sqrt(d))/(2c))
+    return _decimal_printer(places)(a, b, c, d)
+
+
+def _decimal_printer(places: int) -> Callable[[int, int, int, int], str]:
+    """:func:`decimal_str` at one precision, as one function of the integer
+    view (a, b, c, d), any d >= 0, that takes 10^places once for every view
+    it prints."""
     scale = 10 ** places
-    n = _floor_linear_surd(2 * a * scale + c, 2 * b * scale, d, 2 * c)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    if places == 0:
-        return f"{sign}{n}"
-    return f"{sign}{n // scale}.{n % scale:0{places}d}"
+
+    def text(a: int, b: int, c: int, d: int) -> str:
+        # floor(x*10^k + 1/2) = floor((2a*10^k + c + 2b*10^k*sqrt(d))/(2c))
+        n = _floor_linear_surd(2 * a * scale + c, 2 * b * scale, d, 2 * c)
+        sign = "-" if n < 0 else ""
+        if places == 0:
+            return f"{sign}{abs(n)}"
+        digits = str(abs(n)).zfill(places + 1)  # one digit at least before the point
+        return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return text
 
 
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([1-9]\d*))?\s*$")

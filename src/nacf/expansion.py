@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, solve_mobius_fixed_point, surd, _as_exact,
-                    _floor_linear_surd, _sign3, _surd_parts, _view_str)
+                    _floor_linear_surd, _lowest_terms, _sign3, _surd_parts,
+                    _view_str)
 
 
 class OutOfDomain(ValueError):
@@ -310,11 +311,12 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
 
     The map works on the integer view (a, b, c, r) of x = (a + b*sqrt(r))/c.
     A rational x takes the digit kernel that rational orbits share
-    (:attr:`Params.rational_digit`).  A surd x under a rational alpha is
-    decided on its norm form G = a^2 - b^2 r, H = a*c, K = c^2, formed
-    once (:func:`_surd_step`).  Under a surd alpha, N/x is
-    N*c*(a - b*sqrt(r))/G; one floor-kernel call takes its floor against
-    alpha, and one constructor call builds the result.  Over two radicands
+    (:attr:`Params.rational_digit`), and its image (N*c - d*a)/a is reduced
+    by gcd(N, a) alone, with no Euclid on the growing operands.  A surd x
+    under a rational alpha is decided on its norm form G = a^2 - b^2 r,
+    H = a*c, K = c^2, formed once (:func:`_surd_step`).  Under a surd
+    alpha, N/x is N*c*(a - b*sqrt(r))/G; one floor-kernel call takes its
+    floor against alpha, and one constructor call builds the result.  Over two radicands
     N/x - alpha is no surd: its floor, floor(N/x) - floor(alpha) or one
     less, is decided by an exact sign of N/x - (d+1) - alpha.
     """
@@ -327,7 +329,8 @@ def step(x, p: Params) -> tuple[int, ExactNumber]:
         raise OutOfDomain.at(x)
     if b == 0:
         d = p.rational_digit(a, c)  # N/x = N*c/a with a > 0 on the domain
-        return d, Fraction(p.N * c - d * a, a)
+        g = math.gcd(p.N, a)  # = gcd(N*c - d*a, a), as gcd(a, c) = 1
+        return d, _lowest_terms((p.N * c - d * a) // g, a // g)
     qa, qb, qc = p.N * c * a, -p.N * c * b, a * a - b * b * r
     if qc < 0:
         qa, qb, qc = -qa, -qb, -qc

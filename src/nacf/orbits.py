@@ -35,7 +35,8 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional
 
-from .exact import Surd, compare_exact, _as_exact, _surd_parts, _view_printer
+from .exact import (Surd, compare_exact, _as_exact, _lowest_terms, _surd_parts,
+                    _view_printer)
 from .expansion import OutOfDomain, Params, all_digits_coprime, step, _surd_step
 
 
@@ -230,14 +231,6 @@ class OrbitTrace:
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 _BLOCK = 256  # lines computed per entry into the exact context
-
-
-def _lowest_terms(t: int, s: int) -> Fraction:
-    # t/s with gcd(t, s) = 1 and s > 0, built without Fraction's gcd; the
-    # private constructor keyword differs across Python versions.
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = t, s
-    return f
 
 
 def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:

@@ -7,8 +7,11 @@ with N.  Inside that region rationals are never periodic for alpha > 1 and
 matching is obstructed, which yields whole no-matching intervals for odd N.
 The largest and the smallest digit both fall as alpha grows, so the cells
 are one merge of their two breakpoint sequences walked up from alpha_min
-(see :func:`_cells`), the cuts ordered by integer sign tests alone.  Plot
-rows stream from it, kset() builds its surds from it; none splits a radicand.
+(see :func:`_cells`), the cuts ordered by integer sign tests alone.  That
+one walk renders each cut once, as it reaches it, by the caller's renderer:
+plot rows stream with one decimal printer per precision, kset() builds one
+surd per cut, and no_matching_regions() renders none.  None splits a
+radicand.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from .exact import (ExactNumber, floor_exact, surd, _as_exact, _decimal_str,
+from .exact import (ExactNumber, floor_exact, surd, _as_exact, _decimal_printer,
                     _sign, _surd_parts)
 from .expansion import alpha_max
 from .matching import ParamInterval
@@ -42,21 +45,10 @@ class DigitSetCell:
 DEFAULT_ALPHA_MIN = Fraction(1, 100)
 
 
-# A cut is the positive root of a monic quadratic x^2 + s x + t, held as
-# (s, t); the quadratic rises on x > 0, and t >= 0 (a lower cut past N - 1,
-# which the walk never takes) makes the cut 0.
-
-def _upper(n: int, m: int) -> tuple[int, int]:  # u(m): N/a - a = m
-    return m, -n
-
-
-def _lower(n: int, m: int) -> tuple[int, int]:  # l(m): N/(a+1) - a = m
-    return m + 1, m - n
-
-
-def _root(cut: tuple[int, int]) -> tuple[int, int, int, int]:
-    s, t = cut
-    return -s, 1, 2, s * s - 4 * t
+# A cut is the positive root of a monic quadratic, rising on x > 0: the
+# upper cut u(m) of x^2 + m x - N, where N/x - x = m, and the lower cut l(m)
+# of x^2 + (m+1) x + m - N, where N/(x+1) - x = m.  Their integer views are
+# (-m, 1, 2, m^2 + 4N) and (-m-1, 1, 2, (m-1)^2 + 4N).
 
 
 def _order(n: int, m_u: int, m_l: int) -> int:
@@ -74,23 +66,36 @@ def _order(n: int, m_u: int, m_l: int) -> int:
     return _sign(m_l * m_l + (m_l + 1) * m_l * k + (m_l - n) * k * k)
 
 
-def _cells(n: int, alpha_min):
+def _shared(n: int, lo: int, hi: int) -> int:
+    """The number of digits in [lo, hi] that share a factor with N.  That
+    depends on the digit mod N alone, so whole periods are counted once."""
+    periods, rest = divmod(hi - lo + 1, n)
+    period = sum(math.gcd(n, d) > 1 for d in range(n)) if periods else 0
+    return periods * period + sum(math.gcd(n, d) > 1 for d in range(lo, lo + rest))
+
+
+def _cells(n: int, alpha_min, render=None):
     """The cells (lo, hi, digit_lo, digit_hi, in_k) of (alpha_min, sqrt(N)-1],
-    ascending, lo and hi as integer views, the digits those of (lo, hi].  One
-    walk up from alpha_min: the top digit falls past u(digit_hi), the bottom
-    one past l(digit_lo), the next bound is the smaller cut (equal cuts move
-    both), and the edge sqrt(N)-1 = l(1) ends it.  in_k reads a running
-    count of the digits in [digit_lo, digit_hi] that share a factor with N.
+    ascending, the digits those of (lo, hi].  One walk up from alpha_min: the
+    top digit falls past u(digit_hi), the bottom one past l(digit_lo), the
+    next bound is the smaller cut (equal cuts move both), and the edge
+    sqrt(N)-1 = l(1) ends it.  Each bound is rendered once, by
+    render(a, b, c, d) of its integer view, as the walk reaches it, and a
+    cell's hi is the next cell's lo; without a renderer both are None.
+    in_k reads a running count of the digits in [digit_lo, digit_hi] that
+    share a factor with N.
     """
     alpha = _as_exact(alpha_min)
     if alpha <= 0 or (digit_lo := -floor_exact(alpha - n / (alpha + 1)) - 1) < 1:
         raise ValueError("alpha_min must lie in (0, sqrt(N)-1)")
     digit_hi = -floor_exact(alpha - n / alpha) - 1      # ceil(N/a - a) - 1
-    shared = sum(math.gcd(n, d) > 1 for d in range(digit_lo, digit_hi + 1))
-    lo = _surd_parts(alpha)
+    shared = _shared(n, digit_lo, digit_hi)
+    lo = hi = render(*_surd_parts(alpha)) if render else None
     while True:
         side = _order(n, digit_hi, digit_lo)
-        hi = _root(_upper(n, digit_hi) if side <= 0 else _lower(n, digit_lo))
+        if render:
+            hi = (render(-digit_hi, 1, 2, digit_hi * digit_hi + 4 * n) if side <= 0 else
+                  render(-digit_lo - 1, 1, 2, (digit_lo - 1) ** 2 + 4 * n))
         yield lo, hi, digit_lo, digit_hi, shared == 0
         if side >= 0 and digit_lo == 1:
             return
@@ -103,14 +108,6 @@ def _cells(n: int, alpha_min):
         lo = hi
 
 
-def _rendered(n: int, alpha_min, render):
-    """:func:`_cells` with each bound rendered once, by render(view)."""
-    hi = None
-    for lo, hi_view, *digits in _cells(n, alpha_min):
-        lo, hi = render(lo) if hi is None else hi, render(hi_view)
-        yield lo, hi, *digits
-
-
 @lru_cache(maxsize=256)
 def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell, ...]:
     """Partition (alpha_min, sqrt(N)-1] into half-open digit-set cells.
@@ -118,7 +115,7 @@ def kset(n: int, alpha_min: Fraction = DEFAULT_ALPHA_MIN) -> tuple[DigitSetCell,
     The cells of one walk up from alpha_min (see :func:`_cells`), radicands
     unsplit; the digits of each cell are exact, with no sampling.
     """
-    cells = _rendered(n, alpha_min, lambda view: surd(view[0], view[1], view[3], view[2]))
+    cells = _cells(n, alpha_min, lambda a, b, c, d: surd(a, b, d, c))
     return tuple(DigitSetCell(ParamInterval(lo, hi, True, False), *digits)
                  for lo, hi, *digits in cells)
 
@@ -159,9 +156,9 @@ def _plot_rows(n_max: int, precision: int, alpha_min, n_min: int):
     """The rows of :func:`emit_kset_plot_data`, one cell at a time."""
     if not 2 <= n_min <= n_max:
         raise ValueError("N must run over 2 <= n_min <= n_max")
+    text = _decimal_printer(precision)
     for n in range(n_min, n_max + 1):
-        cells = _rendered(n, alpha_min, lambda view: _decimal_str(*view, precision))
-        for lo, hi, digit_lo, digit_hi, in_k in cells:
+        for lo, hi, digit_lo, digit_hi, in_k in _cells(n, alpha_min, text):
             yield n, lo, hi, in_k, digit_lo, digit_hi
 
 

@@ -53,6 +53,21 @@ def test_expand_bounds_n(capsys):
                "--n", "0") == (0, "[0;]\n", "")
 
 
+def test_expand_bounds_n_for_a_surd(capsys):
+    # a surd's expansion outgrows its output as a quadratic orbit does, so it
+    # has that orbit's bound; the period-1 point (-2+sqrt(40))/2 runs at it
+    expand = ("expand", "--x", "(-2+1*sqrt(40))/2", "--N", "9", "--alpha", "19/10")
+    code, out, err = run(capsys, *expand, "--n", "2500")
+    assert (code, err) == (0, "") and out.startswith("[0; 2, 2, ")
+    for n in ("2501", "50000"):
+        code, out, err = run(capsys, *expand, "--n", n)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: expand of a surd needs n <= 2500, got {n}"]
+    # past the rational bound the rational message stands, whatever the point
+    assert run(capsys, *expand, "--n", "50001") == (
+        2, "", "error: expand needs n <= 50000, got 50001\n")
+
+
 def test_orbit_bounds_the_budget(tmp_path, capsys):
     # an orbit that closes early runs at the bound; past it nothing runs,
     # whether a flag or the config file sets the budget

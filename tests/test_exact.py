@@ -501,6 +501,51 @@ def test_decimal_str():
     assert decimal_str(surd(0, -1, 2), 2) == "-1.41"
 
 
+def _rounded_half_up(a, b, c, d, k):
+    """floor(x*10^k + 1/2) of x = (a + b*sqrt(d))/c: Fraction for a rational
+    x, sympy for a surd."""
+    r = math.isqrt(d)
+    if b == 0 or r * r == d:
+        return math.floor(Fraction(a + b * r, c) * 10 ** k + Fraction(1, 2))
+    sympy = pytest.importorskip("sympy")
+    x = (a + b * sympy.sqrt(d)) / c
+    return int(sympy.floor(x * 10 ** k + sympy.Rational(1, 2)))
+
+
+def _assert_decimal_text(text, k, want):
+    # k places after the point (none at k = 0), and the digits read as want
+    whole, point, places = text.partition(".")
+    assert len(places) == k and bool(point) == (k > 0), text
+    assert whole.lstrip("-") == str(int(whole.lstrip("-"))), text
+    assert int(whole + places) == want and (want < 0) == text.startswith("-"), text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 3, 10 ** 3),
+       st.integers(1, 10 ** 4), st.integers(0, 10 ** 4), st.integers(0, 12))
+@example(1, 0, 8, 0, 2)           # 0.125: half-way, up
+@example(-1, 0, 8, 0, 2)          # -0.125: half-way, up to -0.12
+@example(-1, 0, 2000, 0, 3)       # -0.0005: half-way, up to 0.000
+@example(3, 0, 2, 0, 0)           # 1.5 at k = 0
+@example(-3, 0, 2, 0, 0)          # -1.5 at k = 0
+@example(0, -1, 1, 2, 12)         # -sqrt(2)
+@example(2, 3, 4, 36, 5)          # a square radicand
+def test_decimal_str_rounds_half_up(a, b, c, d, k):
+    want = _rounded_half_up(a, b, c, d, k)
+    _assert_decimal_text(_decimal_str(a, b, c, d, k), k, want)
+    _assert_decimal_text(decimal_str(surd(a, b, d, c), k), k, want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(0, 12))
+def test_decimal_str_rounds_exact_halves_up(m, k):
+    # (2m+1)/(2*10^k) lies half-way between two k-place decimals
+    x = Fraction(2 * m + 1, 2 * 10 ** k)
+    want = m + 1
+    _assert_decimal_text(decimal_str(x, k), k, want)
+    _assert_decimal_text(_decimal_str(x.numerator, 0, x.denominator, 0, k), k, want)
+
+
 def test_rational_between():
     rng = random.Random(8)
     for _ in range(200):

@@ -177,6 +177,25 @@ def test_step_matches_its_definition(case):
     assert step(x, p) == step_by_definition(x, p)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.integers(2, 40), st.integers(1, 60), st.integers(0, 120),
+       st.integers(1, 10 ** 40), st.data())
+def test_rational_step_is_fractions_lowest_terms(n, q, num, s, data):
+    # step divides N*c - d*a and a by gcd(N, a) alone and builds the Fraction
+    # unchecked; it must be the Fraction that Euclid's algorithm gives
+    alpha = Fraction(num, q)
+    assume(0 < alpha and compare_exact(alpha, alpha_max(n)) <= 0)
+    p = Params(n, alpha)
+    x = Fraction(floor_exact(alpha * s) + data.draw(st.integers(1, s)), s)
+    assume(p.contains(x))
+    d, nxt = step(x, p)
+    a, c = x.numerator, x.denominator
+    want = Fraction(n * c - d * a, a)
+    assert (nxt.numerator, nxt.denominator) == (want.numerator, want.denominator)
+    assert nxt == want and hash(nxt) == hash(want)
+
+
 def test_step_stays_in_interval():
     rng = random.Random(11)
     for _ in range(300):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nacf import exact, paramspace
 from nacf.exact import (compare_exact, decimal_str, floor_exact, is_rational,
@@ -143,6 +145,24 @@ def test_kset_rejects_alpha_min_outside_the_parameter_space():
                          (5, alpha_max(5)), (4, Fraction(1)), (1, Fraction(1, 100))):
         with pytest.raises(ValueError):
             kset(n, alpha_min)
+
+
+_PRIME_POWERS = (4, 8, 16, 32, 64, 128, 9, 27, 81, 25, 125, 49, 121, 169)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(st.integers(2, 200), st.sampled_from(_PRIME_POWERS)),
+       st.integers(1, 10 ** 6), st.integers(0, 4), st.integers(0, 199))
+@example(2, 1, 1, 0)       # one whole period
+@example(12, 5, 0, 11)     # one short of a period
+@example(128, 3, 3, 0)     # several periods of a prime power
+def test_shared_count_takes_whole_periods_once(n, lo, periods, rest):
+    # periods = 0 is shorter than N, (1, 0) exactly N, more spans several
+    width = periods * n + rest % n
+    assume(width > 0)
+    hi = lo + width - 1
+    want = sum(math.gcd(n, d) > 1 for d in range(lo, hi + 1))
+    assert paramspace._shared(n, lo, hi) == want
 
 
 def test_cut_order_matches_compare_exact():
