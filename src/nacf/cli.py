@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import decimal_str, format_exact, parse_exact
+from .exact import decimal_str, format_exact, parse_exact, _int, _int_str
 from .expansion import Params, expand
 from .matching import (BadRational, MatchReport, MismatchDetected,
                        bad_rational_certificate, matching_interval,
@@ -42,6 +43,8 @@ ORBIT_BUDGET_MAX = 20_000  # its integers grow with each step: 176 MB of output 
 # 3 s at 2500 steps, but an orbit takes 25 s at 5000 and expand 42 s at 10000
 QUADRATIC_BUDGET_MAX = 2500
 MATCH_BUDGET_MAX = 20_000  # its orbits are held: 1 s, 45 MB at 20 000; 1.3 GB past 30 s at 10^8
+# the first row waits on one gcd per residue of N: 0.3 s at 10^6, 2.4 s at 10^7
+KSET_N_MAX = 10_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +58,21 @@ def _exact(text):
         return parse_exact(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an exact number: {text!r}")
+
+
+_DIGITS = re.compile(r"[+-]?[0-9]+")
+
+
+def _whole(text):
+    """int(text); a plain digit string that int() refuses for its length
+    (past 4300 digits on Python 3.11+) goes through exact._int, and any
+    other text int() refuses gets argparse's own message for an int option."""
+    try:
+        return int(text)
+    except ValueError:
+        if _DIGITS.fullmatch(text):
+            return _int(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _k_range(text):
@@ -121,9 +139,10 @@ def _interval_text(iv, precision):
 
 def _cmd_expand(args, cfg):
     if args.n > EXPAND_N_MAX:
-        raise ValueError(f"expand needs n <= {EXPAND_N_MAX}, got {args.n}")
+        raise ValueError(f"expand needs n <= {EXPAND_N_MAX}, got {_int_str(args.n)}")
     if not isinstance(args.x, Fraction) and args.n > QUADRATIC_BUDGET_MAX:
-        raise ValueError(f"expand of a surd needs n <= {QUADRATIC_BUDGET_MAX}, got {args.n}")
+        raise ValueError(f"expand of a surd needs n <= {QUADRATIC_BUDGET_MAX}, "
+                         f"got {_int_str(args.n)}")
     p = Params(args.N, args.alpha)
     word = expand(args.x, p, args.n)
     if cfg["format"] == "json":
@@ -137,10 +156,10 @@ def _cmd_orbit(args, cfg):
     budget = cfg["budget"]
     quadratic = args.quadratic or not isinstance(args.x, Fraction)
     if budget > ORBIT_BUDGET_MAX:
-        raise ValueError(f"orbit needs budget <= {ORBIT_BUDGET_MAX}, got {budget}")
+        raise ValueError(f"orbit needs budget <= {ORBIT_BUDGET_MAX}, got {_int_str(budget)}")
     if quadratic and budget > QUADRATIC_BUDGET_MAX:
         raise ValueError(f"a quadratic orbit needs budget <= {QUADRATIC_BUDGET_MAX}, "
-                         f"got {budget}")
+                         f"got {_int_str(budget)}")
     p = Params(args.N, args.alpha)
     if quadratic:
         trace = orbit_quadratic(args.x, p, budget)
@@ -156,7 +175,7 @@ def _cmd_orbit(args, cfg):
 def _cmd_match(args, cfg):
     budget = cfg["budget"]
     if budget > MATCH_BUDGET_MAX:
-        raise ValueError(f"match needs budget <= {MATCH_BUDGET_MAX}, got {budget}")
+        raise ValueError(f"match needs budget <= {MATCH_BUDGET_MAX}, got {_int_str(budget)}")
     report, orbits = _match(args.alpha, args.N, budget)
     out = report.to_json()
     out["certificates"] = []
@@ -197,7 +216,7 @@ def _cmd_interval(args, cfg):
 
 def _cmd_badrat(args, cfg):
     if args.n > BADRAT_N_MAX:
-        raise ValueError(f"badrat needs n <= {BADRAT_N_MAX}, got {args.n}")
+        raise ValueError(f"badrat needs n <= {BADRAT_N_MAX}, got {_int_str(args.n)}")
     cert = bad_rational_certificate(args.n)
     if cfg["format"] == "json":
         print(json.dumps(cert.to_json(), sort_keys=True))
@@ -214,6 +233,8 @@ def _cmd_badrat(args, cfg):
 
 
 def _cmd_kset(args, cfg):
+    if args.N is not None and args.N > KSET_N_MAX:
+        raise ValueError(f"kset needs N <= {KSET_N_MAX}, got {_int_str(args.N)}")
     n_min, n_max = (2, args.n_max) if args.N is None else (args.N, args.N)
     rows = _plot_rows(n_max, cfg["precision"], cfg["alpha_min"], n_min)
     write = sys.stdout.write
@@ -273,7 +294,7 @@ class _Exclusive(NamedTuple):
 
 
 _REQ_EXACT = {"type": _exact, "required": True}
-_REQ_INT = {"type": int, "required": True}
+_REQ_INT = {"type": _whole, "required": True}
 
 # Every option, declared once as (flag, add_argument keywords), and every
 # subcommand as (help, function, options).
@@ -286,16 +307,16 @@ COMMANDS = {
                 ("--n", _REQ_INT))),
     "orbit": ("exact orbit trace with cycle detection", _cmd_orbit,
               (("--x", _REQ_EXACT), ("--N", _REQ_INT), ("--alpha", _REQ_EXACT),
-               ("--budget", {"type": int}), ("--quadratic", {"action": "store_true"}))),
+               ("--budget", {"type": _whole}), ("--quadratic", {"action": "store_true"}))),
     "match": ("minimal matched pair of the endpoint orbits", _cmd_match,
-              (("--alpha", _REQ_EXACT), ("--N", _REQ_INT), ("--budget", {"type": int}))),
+              (("--alpha", _REQ_EXACT), ("--N", _REQ_INT), ("--budget", {"type": _whole}))),
     "interval": ("stable exponents and matching interval (N=2)", _cmd_interval,
-                 (("--alpha", _REQ_EXACT), ("--N", {"type": int, "default": 2}),
+                 (("--alpha", _REQ_EXACT), ("--N", {"type": _whole, "default": 2}),
                   # a config-file budget never reaches this default
-                  ("--budget", {"type": int, "default": 40}))),
+                  ("--budget", {"type": _whole, "default": 40}))),
     "badrat": ("mod-2 certificate for alpha = 1/2^n", _cmd_badrat, (("--n", _REQ_INT),)),
     "kset": ("digit-set cells and the coprime region", _cmd_kset,
-             (_Exclusive(True, (("--N", {"type": int}),
+             (_Exclusive(True, (("--N", {"type": _whole}),
                                 ("--n-max", {"type": int, "dest": "n_max"}))),
               ("--alpha-min", {"type": _exact, "dest": "alpha_min"}))),
     "nomatch-regions": ("no-matching intervals for odd N >= 5", _cmd_nomatch_regions,

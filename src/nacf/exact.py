@@ -305,9 +305,12 @@ def compare_exact(x, y) -> int:
 
 
 def _compare_views(x: tuple, y: tuple) -> int:
-    """:func:`compare_exact` of two integer views (a, b, c, d) with c > 0."""
+    """:func:`compare_exact` of two integer views (a, b, c, d) with c > 0.
+    Two rationals (b = 0) compare by the sign of one cross product."""
     xa, xb, xc, xd = x
     ya, yb, yc, yd = y
+    if not xb and not yb:
+        return _sign(xa * yc - ya * xc)
     return _sign3(xa * yc - ya * xc, xb * yc, xd, -yb * xc, yd)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
@@ -164,6 +164,17 @@ def _running_products(n: int, digits: Iterable[int]) -> Iterator[Mobius]:
         yield m
 
 
+def _lasso(prefix: Sequence[int], period: Optional[Sequence[int]],
+           exhausted: str) -> Iterator[int]:
+    """The digits of a lasso: ``prefix``, then ``period`` repeated forever,
+    or IndexError(exhausted) after the prefix when there is no period.  The
+    one reader of DigitWord heads and of an orbit's digits."""
+    yield from prefix
+    if period is None:
+        raise IndexError(exhausted)
+    yield from cycle(period)
+
+
 def branch_product(n: int, digits: Sequence[int]) -> Mobius:
     m = IDENTITY
     for m in _running_products(n, digits):
@@ -235,7 +246,8 @@ class DigitWord:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def head(self, n: int) -> tuple[int, ...]:
-        return tuple(self.digit_at(i) for i in range(n))
+        """The first n digits, read as digit_at reads them."""
+        return tuple(islice(_lasso(self.prefix, self.period, "finite word exhausted"), max(n, 0)))
 
     def shifted(self) -> "DigitWord":
         """Drop the first digit (the shift map on digit sequences)."""

@@ -47,7 +47,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exact import (ExactNumber, compare_exact, format_exact, rational_between,
-                    surd, _as_exact, _compare_views, _root_view)
+                    surd, _as_exact, _compare_views, _int_str, _root_view)
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, digit_set,
                         projective_equiv, step, _running_products)
@@ -76,7 +76,7 @@ class BadRational(Exception):
     proved = False
 
     def __init__(self, alpha, n, budget):
-        super().__init__(f"no stable matching for alpha={alpha} within K+L <= {budget}")
+        super().__init__(f"no stable matching for alpha={alpha} within K+L <= {_int_str(budget)}")
         self.alpha = alpha
         self.N = n
         self.budget = budget
@@ -181,7 +181,7 @@ class _Orbit:
     def __init__(self, x0, p: Params, count: int):
         self.trace = orbit_rational(x0, p, count)
         self._matrices = [IDENTITY]
-        self._products = _running_products(p.N, map(self.trace.digit_at, itertools.count()))
+        self._products = _running_products(p.N, self.trace.lasso_digits())
 
     def matrix(self, k: int) -> Mobius:
         ms = self._matrices
@@ -191,7 +191,7 @@ class _Orbit:
 
     def head(self, k: int) -> tuple[int, ...]:
         """The digits d_1..d_k."""
-        return tuple(map(self.trace.digit_at, range(k)))
+        return tuple(itertools.islice(self.trace.lasso_digits(), k))
 
 
 class _EndpointOrbits:
@@ -227,9 +227,10 @@ class _EndpointOrbits:
         """The minimal matched pair (K, L) in (K+L, K) order and the
         stability of its diagonal, or None when the orbits do not meet
         within the build.  Values first occur before the first repeat, so
-        the stored values suffice."""
+        the stored points suffice, and they are matched as reduced pairs:
+        equal pairs are equal values."""
         first_a = self.a.trace.first_index
-        best = min(((i + j, i, j) for j, v in enumerate(self.b.trace.values())
+        best = min(((i + j, i, j) for j, v in enumerate(self.b.trace.points)
                     if (i := first_a.get(v)) is not None), default=None)
         if best is None:
             return None
@@ -329,7 +330,7 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     if k < 0 or l < 0:
         raise ValueError(f"stability_check needs K, L >= 0, got {k}, {l}")
     orbits = _EndpointOrbits(alpha, n, max(k, l) + 1)
-    if orbits.a.trace.value_at(k) != orbits.b.trace.value_at(l):
+    if orbits.a.trace.point_at(k) != orbits.b.trace.point_at(l):
         raise PrerequisiteNotMet(f"T^{k}(alpha) != T^{l}(alpha+1)")
     return orbits.stability(k, l)
 
@@ -561,7 +562,7 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
     orbits = _EndpointOrbits(alpha, 2, pad)
     ok = orbits.a.head(pad) == word_a.head(pad)
     ok = ok and orbits.b.head(pad) == word_b.head(pad)
-    ok = ok and orbits.a.trace.value_at(1) == Fraction(1) == orbits.b.trace.value_at(4)
+    ok = ok and orbits.a.trace.point_at(1) == (1, 1) == orbits.b.trace.point_at(4)
 
     rm = ADD_ONE @ orbits.a.matrix(1)
     m4 = orbits.b.matrix(4)
@@ -699,7 +700,7 @@ def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyChe
     equiv = projective_equiv(rm, mb)
     if not equiv:
         failures.append("projective equivalence")
-    if orbits.a.trace.value_at(kk) != orbits.b.trace.value_at(ll):
+    if orbits.a.trace.point_at(kk) != orbits.b.trace.point_at(ll):
         failures.append("stability (exponents do not match)")
     elif not equiv:
         failures.append("stability")

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 
 from .exact import (Surd, compare_exact, _as_exact, _lowest_terms, _surd_parts,
                     _view_printer)
-from .expansion import OutOfDomain, Params, all_digits_coprime, step, _surd_step
+from .expansion import OutOfDomain, Params, all_digits_coprime, step, _lasso, _surd_step
 
 
 class InvariantViolation(RuntimeError):
@@ -98,8 +98,8 @@ class OrbitTrace:
     beyond that point.
 
     The states are kept as columns, one entry per state.  ``points`` holds
-    the key that cycle detection uses: the reduced pair (t, s) of a
-    rational point, or the surd of a quadratic one.  A rational trace adds
+    the key that cycle detection and matching use: the reduced pair (t, s)
+    of a rational point, or the surd of a quadratic one.  A rational trace adds
     ``cofs`` (the raw pair is cof times the reduced pair), a quadratic one
     ``coeffs``, the (A, B, C, root_sign) of each state."""
 
@@ -119,39 +119,55 @@ class OrbitTrace:
             raise IndexError(f"step {k} lies beyond the orbit's budget")
         return v.pre_period + (k - v.pre_period) % v.period
 
-    @cached_property
-    def _values(self) -> tuple:
-        if self.kind == "rational":
-            return tuple(_lowest_terms(t, s) for t, s in self.points)
-        return self.points
+    def point_at(self, k: int):
+        """The stored point of x_k, 0-based like the states: its reduced
+        pair (t, s) with s > 0 for a rational state, its surd for a
+        quadratic one.  Either form is canonical, so equal points are equal
+        values."""
+        return self.points[self._lasso_index(k, len(self.points))]
 
     def value_at(self, k: int):
         """The point x_k, 0-based like the states."""
-        return self._values[self._lasso_index(k, len(self.points))]
+        x = self.point_at(k)
+        return _lowest_terms(*x) if self.kind == "rational" else x
 
     def digit_at(self, k: int) -> int:
         """The digit d_{k+1} that x_k emits, 0-based like DigitWord.digit_at."""
         return self.digits[self._lasso_index(k, len(self.digits))]
 
+    def lasso_digits(self) -> Iterator[int]:
+        """The digits d_1, d_2, ...: the stored column, then the cycle's
+        digits forever.  Past the budget of an orbit that found no period
+        it raises IndexError, as digit_at does."""
+        v = self.verdict
+        cycle = self.digits[v.pre_period:] if v.is_periodic else None
+        return _lasso(self.digits, cycle,
+                      f"step {len(self.digits)} lies beyond the orbit's budget")
+
     def values(self) -> list:
-        return list(self._values)
+        if self.kind == "rational":
+            return [_lowest_terms(t, s) for t, s in self.points]
+        return list(self.points)
 
     @cached_property
     def first_index(self) -> dict:
-        """The first stored index of each value."""
-        return {v: i for i, v in reversed(tuple(enumerate(self._values)))}
+        """The first stored index of each point (see point_at), so a value
+        is looked up by its reduced pair or its surd."""
+        points = self.points
+        return dict(zip(reversed(points), range(len(points) - 1, -1, -1)))
 
     @property
     def one_at(self) -> Optional[int]:
-        """The first stored index whose value is 1, if any."""
-        return self.first_index.get(1)
+        """The first stored index whose value is 1, if any: a rational
+        point (1, 1); no surd equals that pair."""
+        return self.first_index.get((1, 1))
 
     @cached_property
     def states(self) -> tuple:
         """The states as objects, built from the columns on first read."""
         if self.kind == "rational":
             return tuple(RationalOrbitState(i, cof * t, cof * s, v) for i, ((t, s), cof, v)
-                         in enumerate(zip(self.points, self.cofs, self._values)))
+                         in enumerate(zip(self.points, self.cofs, self.values())))
         return tuple(QuadCoeffState(i, *abcs, x)
                      for i, (abcs, x) in enumerate(zip(self.coeffs, self.points)))
 

@@ -444,6 +444,49 @@ def test_badrat_bounds_n(capsys):
         assert err == f"error: badrat needs n <= 10000, got {n}\n"
 
 
+_LONG_N = "1" + "0" * 4401  # 4402 digits: past int()'s limit on Python 3.11+
+_NINES = "9" * 5000
+
+
+def test_integer_options_of_any_length(capsys):
+    # int() refuses a digit string this long on 3.11+; the options read it
+    # through exact._int, and each cap prints it in full
+    code, out, err = run(capsys, "orbit", "--x", "2", "--N", "5", "--alpha", "6/5",
+                         "--budget", _NINES)
+    assert (code, out, err) == (2, "", f"error: orbit needs budget <= 20000, got {_NINES}\n")
+    for argv, cap in ((("match", "--alpha", "1/3", "--N", "2", "--budget", _NINES),
+                       "match needs budget <= 20000"),
+                      (("expand", "--x", "1/3", "--N", "2", "--alpha", "1/3", "--n", _NINES),
+                       "expand needs n <= 50000"),
+                      (("badrat", "--n", _NINES), "badrat needs n <= 10000")):
+        assert run(capsys, *argv) == (2, "", f"error: {cap}, got {_NINES}\n")
+    assert run(capsys, "nomatch-regions", "--N", _LONG_N) == (
+        2, "", "error: established only for odd N >= 5\n")
+    # interval has no budget cap: N = 2 orbits end at 1 whatever the budget
+    code, out, _ = run(capsys, "interval", "--alpha", "1/3", "--budget", _NINES)
+    assert code == 3 and "proved: True" in out
+    assert nacf.cli._whole("+" + _NINES) == int(Decimal(_NINES)) == -nacf.cli._whole("-" + _NINES)
+    assert nacf.cli._whole(" 1_000 ") == 1000  # whatever int() reads, it reads
+
+
+def test_malformed_integer_options_keep_argparses_message(capsys):
+    for text in ("1x", "1.5", "0x10", "", _NINES + "x", "1_" + _NINES):
+        code, out, err = run(capsys, "orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9",
+                             f"--budget={text}")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == \
+            f"nacf orbit: error: argument --budget: invalid int value: {text!r}"
+
+
+def test_kset_bounds_n(capsys):
+    # the first row waits on one gcd per residue of N, so N is capped; a
+    # range given by --n-max streams from N = 2 and is not
+    for n in ("10000001", "100000000000000000000", _LONG_N):
+        for fmt in FORMATS:
+            assert run(capsys, "--format", fmt, "kset", "--N", n) == (
+                2, "", f"error: kset needs N <= 10000000, got {n}\n")
+
+
 def test_verify_bounds_the_k_range(capsys):
     code, out, err = run(capsys, "verify", "--k", "0..100000")
     assert code == 2 and out == ""

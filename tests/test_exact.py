@@ -12,9 +12,9 @@ from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
                         format_exact, integer_sqrt, parse_exact,
                         rational_between, solve_mobius_fixed_point,
-                        solve_quadratic, surd, _decimal_str,
-                        _floor_linear_surd, _root_view, _square_free_split,
-                        _surd_parts)
+                        solve_quadratic, surd, _compare_views, _decimal_str,
+                        _floor_linear_surd, _root_view, _sign3,
+                        _square_free_split, _surd_parts)
 
 
 def test_integer_sqrt_examples():
@@ -599,3 +599,36 @@ def test_no_decision_path_splits_a_radicand(monkeypatch):
     assert got == want
     assert all(check.ok for check in got[0]) and len(got[2]) > 1
     assert got[3].points[0].d == 8
+
+
+_RATIONAL = st.tuples(st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_RATIONAL, st.one_of(_RATIONAL, st.none()))
+@example((-3, 4), (-6, 8))      # equal values, neither view reduced
+@example((0, 5), (0, 1))
+@example((-1, 1), (1, _BIG))
+def test_two_rational_views_compare_by_one_cross_product(x, y):
+    # y = None compares x with a scaled copy of itself
+    if y is None:
+        y = (3 * x[0], 3 * x[1])
+    xv, yv = (x[0], 0, x[1], 0), (y[0], 0, y[1], 0)
+    fx, fy = Fraction(*x), Fraction(*y)
+    want = (fx > fy) - (fx < fy)
+    assert _compare_views(xv, yv) == want
+    # the general formula, which the rational case no longer reaches
+    assert _sign3(x[0] * y[1] - y[0] * x[1], 0, 0, 0, 0) == want
+
+
+def test_mixed_views_still_compare_exactly():
+    rng = random.Random(28)
+    for _ in range(2000):
+        x, y = random_exact(rng), random_exact(rng)
+        xv, yv = _surd_parts(x), _surd_parts(y)
+        got = _compare_views(xv, yv)
+        assert got == compare_exact(x, y)
+        assert got == _sign3(xv[0] * yv[2] - yv[0] * xv[2], xv[1] * yv[2], xv[3],
+                             -yv[1] * xv[2], yv[3])
+        oracle = interval_compare(x, y)
+        assert oracle is None or got == oracle, (x, y)

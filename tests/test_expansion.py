@@ -394,3 +394,21 @@ def test_xi_values():
         x = xi(n)
         assert Fraction(n) / (n - 2 + x) == x
         assert compare_exact(Fraction(1), x) < 0 < compare_exact(Fraction(2), x)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=6),
+       st.one_of(st.none(), st.lists(st.integers(1, 9), min_size=1, max_size=4)),
+       st.integers(-2, 24))
+def test_digit_word_head_reads_as_digit_at(prefix, period, n):
+    # head slices the prefix and then the repeated period; a finite word
+    # runs out with digit_at's own error
+    w = DigitWord(tuple(prefix), None if period is None else tuple(period))
+    try:
+        want = tuple(w.digit_at(i) for i in range(n))
+    except IndexError as exc:
+        assert str(exc) == "finite word exhausted"
+        with pytest.raises(IndexError, match="^finite word exhausted$"):
+            w.head(n)
+    else:
+        assert w.head(n) == want

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 import nacf.exact
 import nacf.matching
+from conftest import random_params, random_rational_in
 from nacf.cli import main
 from nacf.exact import (NoRootInRange, compare_exact, rational_between,
                         solve_mobius_fixed_point, surd)
-from nacf.expansion import (ADD_ONE, Mobius, Params, alpha_max, branch_product,
-                            convergents, expand, mobius_apply,
-                            projective_equiv, step)
+from nacf.expansion import (ADD_ONE, IDENTITY, Mobius, Params, alpha_max,
+                            branch_product, convergents, expand, mobius_apply,
+                            projective_equiv, step, _running_products)
 from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            EmptyInterval, MatchReport, NoMatchWithinBudget,
                            ParamInterval, PrerequisiteNotMet,
@@ -29,7 +30,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            detect_matching, equivalence_scan,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
-                           verify_theorem_intervals, _EndpointOrbits)
+                           verify_theorem_intervals, _EndpointOrbits, _Orbit)
 from nacf.orbits import PERIODIC, InvariantViolation, orbit_rational
 
 
@@ -737,3 +738,64 @@ def test_match_cost_does_not_grow_with_the_budget(monkeypatch, capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 10 ** 6), st.integers(1, 40))
+@example(5, 0, 40)
+def test_lasso_digits_read_as_digit_at(n, seed, budget):
+    # the orbit heads and running products read the trace as one lasso;
+    # digit_at, index by index, is the reference.  Seed 0 stands for the
+    # orbit of 6/5 at N = 5, alpha = 11/10, in the coprime region: it never
+    # cycles, so its lasso ends at the budget
+    rng = random.Random(seed)
+    if seed == 0:
+        p, x = Params(5, Fraction(11, 10)), Fraction(6, 5)
+    else:
+        p = random_params(rng, n)
+        x = random_rational_in(p, rng)
+    orbit = _Orbit(x, p, budget)
+    trace = orbit.trace
+    stored = len(trace.digits)
+    reach = 3 * stored + 2 if trace.verdict.is_periodic else stored
+    want = tuple(map(trace.digit_at, range(reach)))
+    assert tuple(itertools.islice(trace.lasso_digits(), reach)) == want
+    assert orbit.head(reach) == want
+    products = [IDENTITY, *_running_products(p.N, want)]
+    assert [orbit.matrix(k) for k in range(reach + 1)] == products
+    if not trace.verdict.is_periodic:
+        with pytest.raises(IndexError):
+            trace.digit_at(reach)
+        with pytest.raises(IndexError, match="beyond the orbit's budget"):
+            tuple(itertools.islice(trace.lasso_digits(), reach + 1))
+        with pytest.raises(IndexError):
+            orbit.head(reach + 1)
+        with pytest.raises(IndexError):
+            _Orbit(x, p, budget).matrix(reach + 1)
+
+
+def _fraction_keyed_match(trace_a, trace_b):
+    # the minimal match found on Fraction values, as before the traces
+    # were keyed by their reduced pairs
+    first = {}
+    for i, v in enumerate(trace_a.values()):
+        first.setdefault(v, i)
+    return min(((i + j, i, j) for j, v in enumerate(trace_b.values())
+                if (i := first.get(v)) is not None), default=None)
+
+
+def test_matches_on_reduced_pairs_equal_a_fraction_keyed_scan():
+    for n in (2, 3, 4, 5):
+        for q in range(1, 41):
+            for p in range(1, q * n):
+                alpha = Fraction(p, q)
+                if alpha.denominator != q or (alpha + 1) ** 2 > n:
+                    continue
+                orbits = _EndpointOrbits(alpha, n, 60)
+                ta, tb = orbits.a.trace, orbits.b.trace
+                want = _fraction_keyed_match(ta, tb)
+                got = orbits.first_match
+                assert (got and got[:2]) == (want and want[1:]), (alpha, n)
+                for trace in (ta, tb):
+                    assert trace.one_at == next(
+                        (i for i, v in enumerate(trace.values()) if v == 1), None), (alpha, n)
