@@ -9,12 +9,11 @@ big-integer arithmetic.
 """
 
 from .exact import (ExactNumber, Surd, compare_exact, decimal_str,
-                    floor_exact, format_exact, integer_sqrt, parse_exact,
-                    solve_mobius_fixed_point, surd, surd_arith)
-from .expansion import (DigitWord, Mobius, Params, alpha_max,
-                        alternating_compare, convergents, digit, digit_set,
-                        evaluate, expand, mobius_apply, projective_equiv,
-                        step, validate_expansion, xi)
+                    floor_exact, format_exact, parse_exact,
+                    solve_mobius_fixed_point, surd)
+from .expansion import (DigitWord, Mobius, Params, alpha_max, convergents,
+                        digit_set, evaluate, expand, projective_equiv, step,
+                        validate_expansion, xi)
 from .matching import (MatchReport, MatchingInterval, NoMatchWithinBudget,
                        ParamInterval, bad_rational_certificate,
                        cylinder_interval, detect_matching, matching_interval,

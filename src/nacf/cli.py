@@ -123,12 +123,23 @@ def _settings(args) -> dict:
     return cfg
 
 
+def _json(obj, **kw) -> str:
+    """json.dumps(obj, **kw).  From Python 3.11 on, json.dumps refuses an
+    integer past sys.get_int_max_str_digits() digits; that is a domain
+    error here, raised before any of the record is written."""
+    try:
+        return json.dumps(obj, **kw)
+    except ValueError:
+        raise ValueError(f"an integer in the JSON output has more than "
+                         f"{sys.get_int_max_str_digits()} digits; use --format text") from None
+
+
 def _emit(obj, fmt):
     if fmt == "json":
-        print(json.dumps(obj, indent=None, sort_keys=True))
+        print(_json(obj, sort_keys=True))
     else:
         for key, value in obj.items():
-            print(f"{key}: {value}")
+            print(f"{key}: {_int_str(value) if isinstance(value, int) else value}")
 
 
 def _interval_text(iv, precision):
@@ -146,7 +157,7 @@ def _cmd_expand(args, cfg):
     p = Params(args.N, args.alpha)
     word = expand(args.x, p, args.n)
     if cfg["format"] == "json":
-        print(json.dumps(word.to_json()))
+        print(_json(word.to_json()))
     else:
         print(str(word))
     return EXIT_OK
@@ -219,7 +230,7 @@ def _cmd_badrat(args, cfg):
         raise ValueError(f"badrat needs n <= {BADRAT_N_MAX}, got {_int_str(args.n)}")
     cert = bad_rational_certificate(args.n)
     if cfg["format"] == "json":
-        print(json.dumps(cert.to_json(), sort_keys=True))
+        print(_json(cert.to_json(), sort_keys=True))
     else:
         print(f"alpha = {format_exact(cert.alpha)}")
         print(f"expansion of alpha:     {cert.word_alpha}")
@@ -257,7 +268,7 @@ def _cmd_kset(args, cfg):
 def _cmd_nomatch_regions(args, cfg):
     regions = no_matching_regions(args.N)
     if cfg["format"] == "json":
-        print(json.dumps([r.to_json() for r in regions]))
+        print(_json([r.to_json() for r in regions]))
     else:
         for r in regions:
             print(_interval_text(r, cfg["precision"]))

@@ -5,9 +5,9 @@ Every value handled by this package is an ``ExactNumber``: either a
 Both are read through one integer view, the tuple (a, b, c, d) with c > 0
 and b = d = 0 for a rational.  Arithmetic, comparisons, floors and text
 work on that view, with one formula per operation and the sign and floor
-kernels below.  Floors, comparisons and root selection use
-integer arithmetic only; there is no floating-point on a decision path,
-and no factoring either: only :func:`format_exact` splits a radicand.
+kernels below.  Floors, comparisons, root selection and decimal text use
+integer arithmetic only; there is no floating-point anywhere, and no
+factoring either: only :func:`format_exact` splits a radicand.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ class NoRootInRange(ValueError):
 
 class DegenerateEquation(ValueError):
     """Both the quadratic and the linear coefficient vanish."""
-
-
-def integer_sqrt(n: int) -> int:
-    """Exact floor of the square root of a non-negative integer."""
-    if n < 0:
-        raise ValueError("integer_sqrt of a negative number")
-    return math.isqrt(n)
 
 
 _SPLIT_LIMIT = 1 << 22  # trial divisors stay below it, so radicands below 2^44 split
@@ -176,10 +169,7 @@ class Surd:
     def _view(self):
         return self.a, self.b, self.c
 
-    # -- predicates ---------------------------------------------------
-
-    def sign(self) -> int:
-        return _sign2(self.a, self.b, self.d)
+    # -- comparisons --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Surd):
@@ -205,13 +195,6 @@ class Surd:
 
     def __ge__(self, other):
         return compare_exact(self, other) >= 0
-
-    def __abs__(self):
-        return self if self.sign() >= 0 else -self
-
-    def __float__(self):
-        # display convenience only; never used for decisions
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
 
     def __repr__(self):
         return _view_str(self.a, self.b, self.c, self.d)
@@ -260,21 +243,6 @@ def surd(a: int, b: int, d: int, c: int = 1) -> ExactNumber:
         return Fraction(a + b * r, c)
     g = math.gcd(a, b, c)
     return Surd(a // g, b // g, c // g, d)
-
-
-_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
-        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
-
-
-def surd_arith(x, y, op: str) -> ExactNumber:
-    """Dispatch form of exact arithmetic: op is one of ``+ - * /``.
-
-    Operands must be rationals or surds in one field (radicands whose
-    product is a square); results are normalized ExactNumbers.
-    """
-    if op not in _OPS:
-        raise ValueError(f"unknown operation {op!r}")
-    return _OPS[op](_as_exact(x), _as_exact(y))
 
 
 def _lowest_terms(t: int, s: int) -> Fraction:
@@ -335,10 +303,6 @@ def _floor_linear_surd(p: int, q: int, d: int, e: int) -> int:
     r = math.isqrt(m)  # floor(|q|*sqrt(d))
     f = r if q > 0 else (-r if r * r == m else -r - 1)
     return (p + f) // e
-
-
-def is_rational(x) -> bool:
-    return isinstance(_as_exact(x), Fraction)
 
 
 def solve_quadratic(c2: int, c1: int, c0: int) -> tuple:
@@ -436,11 +400,6 @@ def rational_between(lo, hi) -> Fraction:
 def decimal_str(x, places: int) -> str:
     """Decimal rendering of an exact value, rounded half-up. Display only."""
     return _decimal_printer(places)(*_surd_parts(x))
-
-
-def _decimal_str(a: int, b: int, c: int, d: int, places: int) -> str:
-    """:func:`decimal_str` of the integer view (a, b, c, d), for any d >= 0."""
-    return _decimal_printer(places)(a, b, c, d)
 
 
 def _decimal_printer(places: int) -> Callable[[int, int, int, int], str]:

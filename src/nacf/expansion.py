@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, solve_mobius_fixed_point, surd, _as_exact,
-                    _floor_linear_surd, _lowest_terms, _sign3, _surd_parts,
-                    _view_str)
+                    _floor_linear_surd, _int_str, _lowest_terms, _sign3,
+                    _surd_parts, _view_str)
 
 
 class OutOfDomain(ValueError):
@@ -182,10 +182,6 @@ def branch_product(n: int, digits: Sequence[int]) -> Mobius:
     return m
 
 
-def mobius_apply(m: Mobius, x) -> ExactNumber:
-    return m.apply(x)
-
-
 def projective_equiv(m1: Mobius, m2: Mobius) -> bool:
     """True iff the matrices are proportional (same projective action)."""
     t1, t2 = m1.entries(), m2.entries()
@@ -257,41 +253,15 @@ class DigitWord:
             raise IndexError("cannot shift the empty word")
         return DigitWord((), self.period[1:] + self.period[:1])
 
-    def __len__(self):
-        if self.period is not None:
-            raise TypeError("eventually periodic word has no finite length")
-        return len(self.prefix)
-
     def __str__(self):
-        parts = [str(d) for d in self.prefix]
+        parts = list(map(_int_str, self.prefix))
         if self.period is not None:
-            parts.append("(" + ", ".join(str(d) for d in self.period) + ")")
+            parts.append("(" + ", ".join(map(_int_str, self.period)) + ")")
         return "[0; " + ", ".join(parts) + "]" if parts else "[0;]"
-
-    @classmethod
-    def parse(cls, text: str) -> "DigitWord":
-        body = text.strip()
-        if not (body.startswith("[0;") and body.endswith("]")):
-            raise ValueError(f"not a digit word: {text!r}")
-        body = body[3:-1].strip()
-        period = None
-        if "(" in body:
-            head, tail = body.split("(", 1)
-            if not tail.rstrip().endswith(")"):
-                raise ValueError(f"unbalanced period in {text!r}")
-            period = tuple(int(t) for t in tail.rstrip().rstrip(")").split(",") if t.strip())
-            body = head.rstrip().rstrip(",")
-        prefix = tuple(int(t) for t in body.split(",") if t.strip())
-        return cls(prefix, period)
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix),
                 "period": None if self.period is None else list(self.period)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DigitWord":
-        period = obj.get("period")
-        return cls(tuple(obj["prefix"]), None if period is None else tuple(period))
 
 
 def digit_set(p: Params) -> range:
@@ -304,12 +274,7 @@ def digit_set(p: Params) -> range:
 
 def all_digits_coprime(p: Params) -> bool:
     """Whether every available digit is coprime with N."""
-    return all(math.gcd(p.N, d) == 1 for d in digit_set(p))
-
-
-def digit(x, p: Params) -> int:
-    """First digit of x: floor(N/x - alpha), adjusted at x = alpha (see step)."""
-    return step(x, p)[0]
+    return all(math.gcd(p.N, d) == 1 for d in p.digit_range)
 
 
 def step(x, p: Params) -> tuple[int, ExactNumber]:
@@ -408,18 +373,15 @@ def _surd_step(p: Params, x: Surd, G: int, H: int, K: int) -> tuple[int, Surd]:
     return lo, Surd(na // g, nb // g, G // g, r)
 
 
-def digit_stream(x, p: Params) -> Iterator[int]:
-    """Digits of the expansion of x, generated on demand."""
-    while True:
-        d, x = step(x, p)
-        yield d
-
-
 def expand(x, p: Params, n: int) -> DigitWord:
     """First n digits of the expansion of x as a finite word."""
     if n < 0:
         raise ValueError(f"expand needs n >= 0, got {n}")
-    return DigitWord(tuple(islice(digit_stream(x, p), n)))
+    digits = []
+    for _ in range(n):
+        d, x = step(x, p)
+        digits.append(d)
+    return DigitWord(tuple(digits))
 
 
 def evaluate(w: DigitWord, n: int, tail=None) -> ExactNumber:
@@ -472,25 +434,6 @@ def _first_difference(w1: DigitWord, w2: DigitWord, length: int) -> Optional[int
     return None
 
 
-def alternating_compare(w1: DigitWord, w2: DigitWord) -> int:
-    """Order of the points represented by two digit words: -1, 0 or +1.
-
-    Eventually periodic words are decided over pre-period + lcm of the
-    periods + 1 positions; a pair of coinciding finite prefixes raises
-    :class:`Undecidable`.
-    """
-    pre = max(len(w1.prefix), len(w2.prefix))
-    if w1.period is not None and w2.period is not None:
-        length = pre + math.lcm(len(w1.period), len(w2.period)) + 1
-        verdict = _first_difference(w1, w2, length)
-        return 0 if verdict is None else verdict
-    finite = min(len(w.prefix) for w in (w1, w2) if w.period is None)
-    verdict = _first_difference(w1, w2, finite)
-    if verdict is None:
-        raise Undecidable("finite prefixes coincide; no periods given")
-    return verdict
-
-
 def validate_expansion(w: DigitWord, p: Params, depth: int = 96) -> bool:
     """Whether an eventually periodic word is a valid expansion for (N, alpha).
 
@@ -503,8 +446,7 @@ def validate_expansion(w: DigitWord, p: Params, depth: int = 96) -> bool:
     """
     if w.period is None:
         raise ValueError("validation needs an eventually periodic word")
-    digits = set(w.prefix) | set(w.period)
-    if not digits <= set(digit_set(p)):
+    if not all(d in p.digit_range for d in w.prefix + w.period):
         return False
     boundary_chain_ok = p.left_end_quotient is not None
     left, right_end = expand(p.alpha, p, depth), expand(p.upper, p, depth)

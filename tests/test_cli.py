@@ -469,6 +469,26 @@ def test_integer_options_of_any_length(capsys):
     assert nacf.cli._whole(" 1_000 ") == 1000  # whatever int() reads, it reads
 
 
+def test_a_long_N_prints_a_whole_record_or_none(capsys):
+    # str() and json.dumps of an int stop past 4300 digits on 3.11+; text
+    # prints the value in full, and JSON exits 2 before writing any of it
+    n = "1" + "0" * 4400 + "1"
+    match = ("match", "--alpha", "1/3", "--N", n, "--budget", "5")
+    expand = ("expand", "--x", "1/3", "--N", n, "--alpha", "1/3", "--n", "5")
+    code, out, err = run(capsys, *match)
+    assert code in (0, 3) and err == ""
+    assert out.splitlines()[:2] == ["alpha: 1/3", f"N: {n}"]
+    code, out, err = run(capsys, *expand)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"[0; {Decimal(3 * int(Decimal(n)) - 1)}, ") and out.endswith("]\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # 0: no limit, and JSON prints the value too
+        for argv in (match, expand):
+            assert run(capsys, "--format", "json", *argv) == (
+                2, "", f"error: an integer in the JSON output has more than {limit} "
+                "digits; use --format text\n")
+
+
 def test_malformed_integer_options_keep_argparses_message(capsys):
     for text in ("1x", "1.5", "0x10", "", _NINES + "x", "1_" + _NINES):
         code, out, err = run(capsys, "orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9",

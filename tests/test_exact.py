@@ -10,30 +10,10 @@ from conftest import (approx_bounds, interval_compare, random_exact,
                       random_fraction, random_surd)
 from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         Surd, compare_exact, decimal_str, floor_exact,
-                        format_exact, integer_sqrt, parse_exact,
-                        rational_between, solve_mobius_fixed_point,
-                        solve_quadratic, surd, _compare_views, _decimal_str,
-                        _floor_linear_surd, _root_view, _sign3,
-                        _square_free_split, _surd_parts)
-
-
-def test_integer_sqrt_examples():
-    assert integer_sqrt(0) == 0
-    assert integer_sqrt(29) == 5
-    assert integer_sqrt(369) == 19  # 19^2 = 361 <= 369 < 400
-
-
-def test_integer_sqrt_negative():
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
-
-
-def test_integer_sqrt_property():
-    rng = random.Random(1)
-    for _ in range(300):
-        n = rng.randint(0, 10 ** 18)
-        r = integer_sqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
+                        format_exact, parse_exact, rational_between,
+                        solve_mobius_fixed_point, solve_quadratic, surd,
+                        _compare_views, _decimal_printer, _floor_linear_surd,
+                        _root_view, _sign3, _square_free_split, _surd_parts)
 
 
 def test_surd_normalization():
@@ -129,14 +109,14 @@ def test_arithmetic_examples():
 
 
 def test_surd_arith_dispatch():
-    from nacf.exact import surd_arith
+    # each operator, with a rational on either side, dispatches to one exact
+    # formula and normalises its result
     root2 = surd(0, 1, 2)
-    assert surd_arith(root2, Fraction(1), "-") == surd(-1, 1, 2)
-    assert surd_arith(Fraction(2), root2, "/") == root2
-    assert surd_arith(surd(-3, 1, 29, 2), surd(3, 1, 29, 2), "+") == surd(0, 1, 29)
-    assert surd_arith(root2, root2, "*") == Fraction(2)
-    with pytest.raises(ValueError):
-        surd_arith(root2, root2, "%")
+    assert root2 - Fraction(1) == surd(-1, 1, 2) == root2 - 1
+    assert Fraction(2) / root2 == root2 == 2 / root2
+    assert surd(-3, 1, 29, 2) + surd(3, 1, 29, 2) == surd(0, 1, 29)
+    assert root2 * root2 == Fraction(2)
+    assert type(root2 * root2) is Fraction
 
 
 _OPERATORS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
@@ -263,7 +243,7 @@ def _is_floor(n, p, q, d, e):
 def test_floor_kernel_on_any_radicand(p, q, d, e):
     # unsplit radicands reach the kernel: a cut's m*m + 4N can be a square
     assert _is_floor(_floor_linear_surd(p, q, d, e), p, q, d, e)
-    assert _decimal_str(p, q, e, d, 3) == decimal_str(surd(p, q, d, e), 3)
+    assert _decimal_printer(3)(p, q, e, d) == decimal_str(surd(p, q, d, e), 3)
 
 
 _BIG = 1 << 400
@@ -532,7 +512,7 @@ def _assert_decimal_text(text, k, want):
 @example(2, 3, 4, 36, 5)          # a square radicand
 def test_decimal_str_rounds_half_up(a, b, c, d, k):
     want = _rounded_half_up(a, b, c, d, k)
-    _assert_decimal_text(_decimal_str(a, b, c, d, k), k, want)
+    _assert_decimal_text(_decimal_printer(k)(a, b, c, d), k, want)
     _assert_decimal_text(decimal_str(surd(a, b, d, c), k), k, want)
 
 
@@ -543,7 +523,7 @@ def test_decimal_str_rounds_exact_halves_up(m, k):
     x = Fraction(2 * m + 1, 2 * 10 ** k)
     want = m + 1
     _assert_decimal_text(decimal_str(x, k), k, want)
-    _assert_decimal_text(_decimal_str(x.numerator, 0, x.denominator, 0, k), k, want)
+    _assert_decimal_text(_decimal_printer(k)(x.numerator, 0, x.denominator, 0), k, want)
 
 
 def test_rational_between():

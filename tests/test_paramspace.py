@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nacf import exact, paramspace
-from nacf.exact import (compare_exact, decimal_str, floor_exact, is_rational,
+from nacf.exact import (compare_exact, decimal_str, floor_exact,
                         rational_between, surd)
 from nacf.expansion import Params, alpha_max, digit_set
 from nacf.paramspace import (NotApplicable, digit_breakpoints,
@@ -17,10 +17,10 @@ from nacf.paramspace import (NotApplicable, digit_breakpoints,
 
 def satisfies_breakpoint_equation(beta, n):
     upper = Fraction(n) / beta - beta
-    if is_rational(upper) and upper.denominator == 1:
+    if isinstance(upper, Fraction) and upper.denominator == 1:
         return True
     lower = Fraction(n) / (beta + 1) - beta
-    return is_rational(lower) and lower.denominator == 1
+    return isinstance(lower, Fraction) and lower.denominator == 1
 
 
 def test_breakpoints_for_two():
