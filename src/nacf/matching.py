@@ -120,7 +120,7 @@ class ParamInterval:
         return ParamInterval(lo, hi, lo_open, hi_open)
 
     def sample(self) -> Fraction:
-        """An exact rational in the interior of the interval.
+        """An exact rational strictly inside the interval.
 
         A one-point interval [a, a] has no interior and raises EmptyInterval.
         """
