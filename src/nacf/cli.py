@@ -172,6 +172,14 @@ def _cmd_orbit(args, cfg):
         raise ValueError(f"a quadratic orbit needs budget <= {QUADRATIC_BUDGET_MAX}, "
                          f"got {_int_str(budget)}")
     p = Params(args.N, args.alpha)
+    # each line prints its digit with int's str, which from Python 3.11 on
+    # refuses integers past sys.get_int_max_str_digits() digits; as
+    # 2^(3 limit) < 10^limit, the power is built only past 3 limit bits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    top = p.digit_range[-1]
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise ValueError(f"a digit of this orbit can have more than {limit} digits, "
+                         "too many to print")
     if quadratic:
         trace = orbit_quadratic(args.x, p, budget)
     else:

@@ -60,6 +60,36 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, f * m
 
 
+# Sorenson and Webster (2015): no composite below this bound is a strong
+# probable prime to all the prime bases 2..41
+_PRIME_PROOF_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases 2..41.  False proves n composite (or
+    below 2); True proves n prime below _PRIME_PROOF_BOUND, and only makes
+    it probable from there on."""
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * odd
+    odd = (n - 1) >> r
+    for a in _PRIME_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _sign(n) -> int:
     return (n > 0) - (n < 0)
 

@@ -47,7 +47,8 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .exact import (ExactNumber, compare_exact, format_exact, rational_between,
-                    surd, _as_exact, _compare_views, _int_str, _root_view)
+                    surd, _as_exact, _compare_views, _int_str, _root_view,
+                    _strong_probable_prime, _PRIME_PROOF_BOUND)
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, projective_equiv, step,
                         _running_products)
@@ -471,8 +472,9 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     v_1..v_j and w_1..w_k has a coprime preimage, the walk back from alpha
     misses w_k, and the two lists share no value.  Both lists and the walk
     are cut at 64 steps, and the certificate declines past that.  It also
-    declines outright when N divides t0 + s0, or when N is composite and
-    divides t0.  Where both endpoints are coprime it iterates neither orbit.
+    declines outright when N divides t0 + s0, or when N divides t0 and is
+    composite or too large for :func:`exact._strong_probable_prime` to prove
+    prime.  Where both endpoints are coprime it iterates neither orbit.
     """
     alpha = _as_exact(alpha)
     if not isinstance(alpha, Fraction):
@@ -485,8 +487,11 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     t0, s0 = alpha.numerator, alpha.denominator
     if (t0 + s0) % n == 0:
         return Obstruction(False, "N divides t0 + s0")
-    if t0 % n == 0 and any(n % q == 0 for q in range(2, math.isqrt(n) + 1)):
-        return Obstruction(False, "N divides t0 and N is composite")
+    if t0 % n == 0:
+        if not _strong_probable_prime(n):
+            return Obstruction(False, "N divides t0 and N is composite")
+        if n >= _PRIME_PROOF_BOUND:
+            return Obstruction(False, "N divides t0 and is past the proven range of the prime test")
     ds = p.digit_range
 
     def preimage(z: Fraction) -> Optional[Fraction]:
@@ -663,13 +668,6 @@ class FamilyCheck:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "k": self.k,
-                "alpha": format_exact(self.alpha),
-                "exponents": list(self.exponents),
-                "interval": None if self.interval is None else self.interval.to_json(),
-                "ok": self.ok, "failures": list(self.failures)}
 
 
 def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyCheck:

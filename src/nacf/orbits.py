@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
+                     InvalidOperation, Overflow, Rounded)
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import Iterator, Optional
 
 from .exact import (Surd, compare_exact, _as_exact, _lowest_terms, _surd_parts,
@@ -101,7 +100,7 @@ class OrbitTrace:
     the key that cycle detection and matching use: the reduced pair (t, s)
     of a rational point, or the surd of a quadratic one.  A rational trace adds
     ``cofs`` (the raw pair is cof times the reduced pair), a quadratic one
-    ``coeffs``, the (A, B, C, root_sign) of each state."""
+    ``coeffs``, the (A, B, C) of each state."""
 
     kind: str  # "rational" | "quadratic"
     params: Params
@@ -109,7 +108,7 @@ class OrbitTrace:
     verdict: Verdict
     points: tuple
     cofs: tuple[int, ...] = ()
-    coeffs: tuple[tuple[int, int, int, int], ...] = ()
+    coeffs: tuple[tuple[int, int, int], ...] = ()
 
     def _lasso_index(self, k: int, stored: int) -> int:
         if 0 <= k < stored:
@@ -168,8 +167,10 @@ class OrbitTrace:
         if self.kind == "rational":
             return tuple(RationalOrbitState(i, cof * t, cof * s, v) for i, ((t, s), cof, v)
                          in enumerate(zip(self.points, self.cofs, self.values())))
-        return tuple(QuadCoeffState(i, *abcs, x)
-                     for i, (abcs, x) in enumerate(zip(self.coeffs, self.points)))
+        # the triple's centre -B/(2A) is x's a/c, so x lies on the side of
+        # it that b gives, and the sign of A orients the roots
+        return tuple(QuadCoeffState(i, A, B, C, 1 if (x.b > 0) == (A > 0) else -1, x)
+                     for i, ((A, B, C), x) in enumerate(zip(self.coeffs, self.points)))
 
     def json_lines(self) -> Iterator[str]:
         """Each state as one JSON line, byte-identical to ``json.dumps`` of
@@ -182,44 +183,32 @@ class OrbitTrace:
         Decimal's str is linear in the digits, where int's is quadratic, so
         no raw integer goes through int's str (a quadratic point's value is
         still written in format_exact's form, with the orbit's one radicand
-        split once).  Each block of lines is computed inside
-        ``localcontext`` of an exact context (Inexact and Rounded trapped)
-        and yielded outside it, so the caller never runs in that context.
-        A reduced value is the raw pair divided by cof with ``//``.  After
-        the last line the shadow's last t (or triple) must equal the
+        split once).  Every operation is a method of one exact context
+        (Inexact and Rounded trapped), so the thread's context is neither
+        entered nor changed, and its precision and traps do not matter.
+        A reduced value is the raw pair divided by cof.
+        After the last line the shadow's last t (or triple) must equal the
         integer orbit's, or InvariantViolation is raised.
         """
-        lines = self._rational_lines() if self.kind == "rational" else self._quadratic_lines()
-        while True:
-            with localcontext(_EXACT):
-                block = list(islice(lines, _BLOCK))
-            yield from block
-            if len(block) < _BLOCK:
-                return
+        return self._rational_lines() if self.kind == "rational" else self._quadratic_lines()
 
     def _rational_lines(self) -> Iterator[str]:
         # the raw s_n is t_{n-1}, so each line converts one new integer;
         # x_0 is in lowest terms, so cof_0 = 1 and its raw pair is points[0]
-        n, points, cofs, digits = Decimal(self.params.N), self.points, self.cofs, self.digits
+        n, points, digits = Decimal(self.params.N), self.points, self.digits
+        mul, fma, div = _EXACT.multiply, _EXACT.fma, _EXACT.divide_int
         t, s = map(Decimal, points[0])
         s_text = str(s)
-        for i, ((_, den), cof, d) in enumerate(zip(points, cofs, digits)):
+        for i, ((_, den), cof, d) in enumerate(zip(points, self.cofs, (*digits, "null"))):
             t_text = str(t)
             if cof == 1:
                 value = t_text if den == 1 else f"{t_text}/{s_text}"
             else:
-                value = str(t // cof) if den == 1 else f"{t // cof}/{s // cof}"
+                value = str(div(t, cof)) if den == 1 else f"{div(t, cof)}/{div(s, cof)}"
             yield f'{{"digit": {d}, "n": {i}, "s": {s_text}, "t": {t_text}, "value": "{value}"}}'
-            t, s = n * s - d * t, t
+            if i < len(digits):  # the last state emits no digit
+                t, s = fma(n, s, mul(-d, t)), t
             s_text = t_text
-        # the last state emits no digit
-        t_text, (_, den), cof = str(t), points[-1], cofs[-1]
-        if cof == 1:
-            value = t_text if den == 1 else f"{t_text}/{s_text}"
-        else:
-            value = str(t // cof) if den == 1 else f"{t // cof}/{s // cof}"
-        yield (f'{{"digit": null, "n": {len(digits)}, "s": {s_text}, "t": {t_text}, '
-               f'"value": "{value}"}}')
         if t != cof * points[-1][0]:
             raise InvariantViolation("decimal shadow disagrees with the integer orbit")
 
@@ -227,26 +216,27 @@ class OrbitTrace:
         # A_n is C_{n-1}, so each line converts two new integers; every
         # point keeps x_0's radicand, which is split once to print them all
         n, digits = Decimal(self.params.N), self.digits
-        a, b, c = map(Decimal, self.coeffs[0][:3])
+        mul, fma = _EXACT.multiply, _EXACT.fma
+        nn = mul(n, n)
+        a, b, c = map(Decimal, self.coeffs[0])
         a_text = str(a)
         text = _view_printer(self.points[0].d)
-        for i, x in enumerate(self.points):
+        for i, (x, d) in enumerate(zip(self.points, (*digits, "null"))):
             c_text = str(c)
-            d = digits[i] if i < len(digits) else "null"
             yield (f'{{"A": {a_text}, "B": {b!s}, "C": {c_text}, "digit": {d}, '
                    f'"n": {i}, "value": "{text(x.a, x.b, x.c)}"}}')
             if i < len(digits):
-                a, b, c = c, n * b + 2 * d * c, n * n * a + n * b * d + c * d * d
+                nb = mul(n, b)
+                a, b, c = c, fma(2 * d, c, nb), fma(nn, a, fma(nb, d, mul(c, d * d)))
             a_text = c_text
-        if (a, b, c) != self.coeffs[-1][:3]:
+        if (a, b, c) != self.coeffs[-1]:
             raise InvariantViolation("decimal shadow disagrees with the integer orbit")
 
 
 # Integer arithmetic in Decimal that raises instead of rounding; at MAX_PREC
-# an inexact division would ask for MAX_PREC digits, so only // is used
+# an inexact division would ask for MAX_PREC digits, so only divide_int is used
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
-_BLOCK = 256  # lines computed per entry into the exact context
 
 
 def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
@@ -344,8 +334,7 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
     x, (a, b, c, r) = x0, _surd_parts(x0)
     G, H, K = a * a - b * b * r, a * c, c * c  # the norm form of x
     kernel = p.alpha_parts[1] == 0  # a rational alpha: step on the norm form
-    # the centre -B/(2A) of the primitive triple is x0.a/x0.c and A > 0
-    coeffs, points = [(A, B, C, 1 if x0.b > 0 else -1)], [x0]
+    coeffs, points = [(A, B, C)], [x0]
     digits: list[int] = []
     seen = {(x0.a, x0.b, x0.c): 0}
     verdict = Verdict(NO_PERIOD)
@@ -365,9 +354,7 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
         if B * B - 4 * A * C != scale * disc0:
             raise InvariantViolation("discriminant law failed")
         digits.append(d)
-        # the first identity puts the centre -B/(2A) at a/c, so x lies on
-        # the side of it that b gives, and the sign of A orients the roots
-        coeffs.append((A, B, C, 1 if (b > 0) == (A > 0) else -1))
+        coeffs.append((A, B, C))
         points.append(x)
         if (a, b, c) in seen:
             verdict = Verdict(PERIODIC, seen[a, b, c], n - seen[a, b, c])
@@ -381,10 +368,10 @@ def discriminant_check(trace: OrbitTrace) -> bool:
     """Recompute B_n^2 - 4 A_n C_n = N^(2n) (B_0^2 - 4 A_0 C_0) on a trace."""
     if trace.kind != "quadratic":
         raise ValueError("discriminant check applies to quadratic traces")
-    A, B, C, _ = trace.coeffs[0]
+    A, B, C = trace.coeffs[0]
     disc0 = B * B - 4 * A * C
     nn, scale = trace.params.N ** 2, 1  # scale = N^(2 index), kept running
-    for A, B, C, _ in trace.coeffs:
+    for A, B, C in trace.coeffs:
         if B * B - 4 * A * C != scale * disc0:
             return False
         scale *= nn

@@ -37,10 +37,6 @@ class DigitSetCell:
     digit_hi: int
     in_k: bool
 
-    def to_json(self) -> dict:
-        return {"interval": self.interval.to_json(), "digit_lo": self.digit_lo,
-                "digit_hi": self.digit_hi, "in_K": self.in_k}
-
 
 DEFAULT_ALPHA_MIN = Fraction(1, 100)
 

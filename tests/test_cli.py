@@ -497,6 +497,29 @@ def test_a_long_N_prints_a_whole_record_or_none(capsys):
             sys.set_int_max_str_digits(limit)
 
 
+def test_orbit_at_a_long_N_prints_the_whole_orbit_or_nothing(capsys):
+    # each line prints its digit with int's str; where that is limited
+    # (3.11+) a digit past the limit refuses the run before any output
+    n = "1" + "0" * 4400 + "1"
+    argv = ("orbit", "--x", "1/3", "--N", n, "--alpha", "1/3", "--budget", "3")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # 0: no limit
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "set_int_max_str_digits" not in err
+        sys.set_int_max_str_digits(0)
+    try:
+        # with no limit, as on Python 3.10, the whole orbit prints
+        code, out, err = run(capsys, *argv)
+        trace = orbit_rational(Fraction(1, 3), Params(int(n), Fraction(1, 3)), 3)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [*trace.json_lines(), str(trace.verdict)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_malformed_integer_options_keep_argparses_message(capsys):
     for text in ("1x", "1.5", "0x10", "", _NINES + "x", "1_" + _NINES):
         code, out, err = run(capsys, "orbit", "--x", "2/9", "--N", "2", "--alpha", "2/9",

@@ -13,7 +13,8 @@ from nacf.exact import (DegenerateEquation, MixedRadicands, NoRootInRange,
                         format_exact, parse_exact, rational_between,
                         solve_mobius_fixed_point, solve_quadratic, surd,
                         _compare_views, _decimal_printer, _floor_linear_surd,
-                        _root_view, _sign3, _square_free_split, _surd_parts)
+                        _root_view, _sign3, _square_free_split, _strong_probable_prime,
+                        _surd_parts, _PRIME_PROOF_BOUND)
 
 
 def test_surd_normalization():
@@ -54,6 +55,19 @@ def test_square_free_split_stops_at_2_to_the_22():
     assert _square_free_split(2 ** 101 * 3 ** 4) == (2 ** 50 * 9, 2)
     with pytest.raises(ValueError, match=f"radicand {above * above} "):
         _square_free_split(above * above)
+
+
+def test_prime_test_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(20000) if _strong_probable_prime(n) != trial(n)] == []
+    # strong pseudoprimes to the bases 2; 2..5; 2..23 and 2..37, all
+    # below the bound where bases 2..41 decide
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert n < _PRIME_PROOF_BOUND
+        assert not _strong_probable_prime(n)
+    for n in (10 ** 9 + 7, 10 ** 20 + 39, 2 ** 89 - 1):
+        assert _strong_probable_prime(n)
 
 
 def test_repr_keeps_the_radicand_unsplit():

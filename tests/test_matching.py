@@ -229,6 +229,9 @@ def test_bad_rational_certificates(monkeypatch):
     with pytest.raises(ValueError):
         bad_rational_certificate(2)
 
+    # alpha = 2/9 is family i at k = 0: its pairs (3, 5) and (4, 6)
+    assert equivalence_scan(Fraction(2, 9), 2, 6, 6) == [(3, 5), (4, 6)]
+
     # an empty range of exponents holds no pair, and builds no orbit
     monkeypatch.setattr(nacf.matching, "orbit_rational", None)
     for max_k, max_l in ((0, 0), (0, 30), (30, 0), (-1, 5)):
@@ -273,6 +276,32 @@ def test_obstruction_at_a_large_prime_n():
     assert (proc.returncode, proc.stderr) == (3, "")
     certificate = {"holds": True, "reason": "digits coprime with N; early N-divisible steps cleared"}
     assert json.loads(proc.stdout)["certificates"] == [certificate]
+
+
+def test_obstruction_at_a_prime_n_past_trial_division():
+    # N = 10^20 + 39 divides t0: trial division up to sqrt(N) ran past 20 s
+    src = os.path.dirname(os.path.dirname(nacf.matching.__file__))
+    n = "100000000000000000039"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nacf.cli", "--format", "json", "match",
+         "--N", n, "--alpha", f"{n}/100000000000"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (3, "")
+    certificate = {"holds": True, "reason": "digits coprime with N; early N-divisible steps cleared"}
+    assert json.loads(proc.stdout)["certificates"] == [certificate]
+
+
+def test_obstruction_declines_where_the_prime_test_proves_nothing():
+    # a strong pseudoprime to the bases 2..37 (its least factor is about
+    # 4*10^11, above every digit) is composite; the prime 2^89 - 1 lies
+    # past the bound where the bases 2..41 prove primality
+    n = 318665857834031151167461
+    assert str(no_matching_obstruction(Fraction(n, 10 ** 12), n)) == (
+        "HypothesesFail: N divides t0 and N is composite")
+    n = 2 ** 89 - 1
+    assert str(no_matching_obstruction(Fraction(n, 10 ** 14), n)) == (
+        "HypothesesFail: N divides t0 and is past the proven range of the prime test")
 
 
 def test_obstruction_steps_each_endpoint_to_its_first_coprime_value(monkeypatch):

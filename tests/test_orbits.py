@@ -452,18 +452,24 @@ def test_json_lines_check_the_shadow_against_the_orbit(x, p, budget):
 
 
 def test_json_lines_leave_the_decimal_context_alone():
-    # the exact context is current only while a block of lines is computed:
-    # the caller runs between lines, and after the last, in its own context
+    # every operation names the exact context, so the caller's context is
+    # the current one between lines and after the last, and does not
+    # change the lines either, not even at a precision of 3 digits
     ctx = decimal.getcontext()
     saved = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps))
     for trace in (orbit_rational(Fraction(6, 5), Params(5, Fraction(11, 10)), 600),
+                  orbit_rational(Fraction(7, 6), Params(7, Fraction(11, 10)), 40),
                   orbit_quadratic(surd(1, 1, 2), Params(9, Fraction(19, 10)), 300)):
-        for _ in trace.json_lines():
+        lines = []
+        for line in trace.json_lines():
             now = decimal.getcontext()
             assert now is ctx
             assert (now.prec, now.Emax, now.Emin, now.rounding, dict(now.traps)) == saved
+            lines.append(line)
         assert decimal.getcontext() is ctx
         assert (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps)) == saved
+        with decimal.localcontext(prec=3, traps=[decimal.Inexact, decimal.Rounded]):
+            assert list(trace.json_lines()) == lines
 
 
 def test_columns_hold_the_states():
@@ -477,7 +483,7 @@ def test_columns_hold_the_states():
     assert trace.values() == [st.value for st in trace.states]
     qtrace = orbit_quadratic(surd(1, 1, 2), Params(9, Fraction(19, 10)), 10)
     for st, row, x in zip(qtrace.states, qtrace.coeffs, qtrace.points):
-        assert (st.A, st.B, st.C, st.root_sign, st.value) == (*row, x)
+        assert (st.A, st.B, st.C, st.value) == (*row, x)
     # the diagnostics read the columns and agree with the states' fields
     rng = random.Random(68)
     for _ in range(40):
