@@ -185,8 +185,9 @@ def _cmd_orbit(args, cfg):
     else:
         trace = orbit_rational(args.x, p, budget)
     write = sys.stdout.write
-    for line in trace.json_lines():
-        write(line + "\n")
+    for line in trace.json_lines():  # a line can run to megabytes: no copy with "\n"
+        write(line)
+        write("\n")
     print(str(trace.verdict))
     return EXIT_OK
 

@@ -9,10 +9,16 @@ both through reduced fractions (which decide periodicity) and through the
 raw recurrence t' = N*s - d*t, s' = t that the divisibility arguments
 reason about.  For t/s in lowest terms, gcd(N*s - d*t, t) = gcd(N, t), so
 each step divides by a gcd taken with N instead of one between two growing
-numerators.  The same fact ties the two tracks together: the raw pair is
-cof times the reduced pair, with cof = prod gcd(N, t_k) over the steps so
-far.  That implies rt*s = t*rs, and checking it costs two big-by-small
-products once the orbit turns coprime with N, where every later gcd is 1.
+numerators.  That gcd is read from a running residue r = t mod N, so no
+step passes over the whole numerator for it: a step that divides by
+nothing has r' = -d*r mod N, and only after one that did is r taken again
+as t % N.  The gcd identity also ties the two tracks together: the raw
+pair is cof times the reduced pair, with cof = prod gcd(N, t_k) over the
+steps so far.  That implies rt*s = t*rs, and checking it costs two
+big-by-small products once the orbit turns coprime with N, where every
+later gcd is 1.  Cycle detection hashes each state once
+(``dict.setdefault``): a rational orbit's reduced pair, or a quadratic
+point's (a, b, c).
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
 
@@ -21,7 +27,9 @@ of plain values (see :class:`OrbitTrace`), and ``states`` is a view built
 on first read.  :meth:`OrbitTrace.json_lines` prints the integers from an
 exact Decimal shadow of the raw recurrence, because Decimal's str is linear
 in the digits where int's is quadratic, and checks the shadow's last value
-against the integer orbit.
+against the integer orbit.  A rational line converts one new raw integer;
+where cof > 1 it divides and converts its reduced t, and its reduced s is
+the previous line's reduced t text whenever cof did not change at that step.
 """
 
 from __future__ import annotations
@@ -186,7 +194,9 @@ class OrbitTrace:
         split once).  Every operation is a method of one exact context
         (Inexact and Rounded trapped), so the thread's context is neither
         entered nor changed, and its precision and traps do not matter.
-        A reduced value is the raw pair divided by cof.
+        A reduced value is the raw pair divided by cof; where cof did not
+        change at a step, its s is the previous line's reduced t, whose text
+        is reused.
         After the last line the shadow's last t (or triple) must equal the
         integer orbit's, or InvariantViolation is raised.
         """
@@ -198,17 +208,21 @@ class OrbitTrace:
         n, points, digits = Decimal(self.params.N), self.points, self.digits
         mul, fma, div = _EXACT.multiply, _EXACT.fma, _EXACT.divide_int
         t, s = map(Decimal, points[0])
-        s_text = str(s)
+        s_text, last_cof = str(s), 1
         for i, ((_, den), cof, d) in enumerate(zip(points, self.cofs, (*digits, "null"))):
             t_text = str(t)
             if cof == 1:
-                value = t_text if den == 1 else f"{t_text}/{s_text}"
+                red_t, red_s = t_text, s_text
             else:
-                value = str(div(t, cof)) if den == 1 else f"{div(t, cof)}/{div(s, cof)}"
-            yield f'{{"digit": {d}, "n": {i}, "s": {s_text}, "t": {t_text}, "value": "{value}"}}'
+                if den != 1:  # while cof stays put, the reduced s is the last reduced t
+                    red_s = red_t if cof == last_cof else str(div(s, cof))
+                red_t = str(div(t, cof))
+            yield (f'{{"digit": {d}, "n": {i}, "s": {s_text}, "t": {t_text}, "value": "{red_t}"}}'
+                   if den == 1 else f'{{"digit": {d}, "n": {i}, "s": {s_text}, "t": {t_text}, '
+                   f'"value": "{red_t}/{red_s}"}}')
             if i < len(digits):  # the last state emits no digit
                 t, s = fma(n, s, mul(-d, t)), t
-            s_text = t_text
+            s_text, last_cof = t_text, cof
         if t != cof * points[-1][0]:
             raise InvariantViolation("decimal shadow disagrees with the integer orbit")
 
@@ -244,7 +258,10 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
 
     Raw (t, s) follow the recurrence t' = N*s - d*t, s' = t from the same
     digits, and are checked at every step to be cof times the reduced pair;
-    the trace keeps the digits, the reduced pairs and cof.  The verdict
+    the trace keeps the digits, the reduced pairs and cof.  Each step
+    reduces by g = gcd(N, r) with r = t mod N carried along (r' = -d*r mod N
+    when g = 1, a fresh t % N after a division), and looks its reduced
+    pair up in the seen states with one ``setdefault``.  The verdict
     reports (pre-period, period) of the first repeated reduced value, a
     special kind when the detected cycle is the fixed point 1, or budget
     exhaustion.
@@ -260,6 +277,7 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     N, digit = p.N, p.rational_digit
     rt, rs = x.numerator, x.denominator     # raw
     t, s = rt, rs                           # reduced
+    r = t % N                               # reduced t mod N
     cof = 1                                 # raw = cof * reduced
     digits: list[int] = []
     pairs, cofs = [(t, s)], [cof]
@@ -271,11 +289,13 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")
         rt, rs = N * rs - d * rt, rt
-        g = math.gcd(N, t)
+        g = math.gcd(N, r)  # = gcd(N, t)
         if g == 1:
             t, s = N * s - d * t, t
+            r = -d * r % N  # N*s - d*t = -d*t (mod N)
         else:
             t, s = (N * s - d * t) // g, t // g
+            r = t % N
             cof *= g
         if cof == 1:  # the same test as below, without multiplying by 1
             lost = rt != t or rs != s
@@ -287,12 +307,11 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         key = (t, s)
         pairs.append(key)
         cofs.append(cof)
-        if key in seen:
-            i = seen[key]
-            kind = REACHED_ONE if (t, s) == (1, 1) and n - i == 1 else PERIODIC
+        i = seen.setdefault(key, n)
+        if i != n:
+            kind = REACHED_ONE if key == (1, 1) and n - i == 1 else PERIODIC
             verdict = Verdict(kind, i, n - i)
             break
-        seen[key] = n
 
     return OrbitTrace("rational", p, tuple(digits), verdict, tuple(pairs), cofs=tuple(cofs))
 
@@ -356,10 +375,10 @@ def orbit_quadratic(x0, p: Params, budget: int = 1000) -> OrbitTrace:
         digits.append(d)
         coeffs.append((A, B, C))
         points.append(x)
-        if (a, b, c) in seen:
-            verdict = Verdict(PERIODIC, seen[a, b, c], n - seen[a, b, c])
+        i = seen.setdefault((a, b, c), n)
+        if i != n:
+            verdict = Verdict(PERIODIC, i, n - i)
             break
-        seen[a, b, c] = n
 
     return OrbitTrace("quadratic", p, tuple(digits), verdict, tuple(points), coeffs=tuple(coeffs))
 

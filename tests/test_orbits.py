@@ -62,11 +62,19 @@ def test_orbit_rejects_bad_inputs():
 
 def test_raw_state_recurrence():
     rng = random.Random(20)
+    cases = []
     for _ in range(40):
         p = random_params(rng)
-        x = random_rational_in(p, rng)
+        cases.append((random_rational_in(p, rng), p))
+    # composite N, where the gcd read from t mod N takes several values
+    for n in (4, 6, 12, 18):
+        for _ in range(10):
+            p = random_params(rng, n)
+            cases.append((random_rational_in(p, rng), p))
+    divided = Counter()
+    for x, p in cases:
         trace = orbit_rational(x, p, 40)
-        cof = 1  # raw pair = cof * reduced pair, each step scaling cof by a divisor of N
+        cof = 1  # raw pair = cof * reduced pair, each step scaling cof by gcd(N, t)
         assert (trace.states[0].t, trace.states[0].s) == (x.numerator, x.denominator)
         for i, d in enumerate(trace.digits):
             cur, nxt = trace.states[i], trace.states[i + 1]
@@ -76,8 +84,12 @@ def test_raw_state_recurrence():
             nxt_cof = nxt.s // nxt.value.denominator
             assert (nxt.t, nxt.s) == (nxt_cof * nxt.value.numerator,
                                       nxt_cof * nxt.value.denominator)
-            assert nxt_cof % cof == 0 and p.N % (nxt_cof // cof) == 0
+            g = math.gcd(p.N, cur.value.numerator)
+            assert nxt_cof == cof * g
+            divided[p.N, g] += g > 1
             cof = nxt_cof
+    for n in (4, 6, 12, 18):  # every divisor g > 1 of N, N itself (t = 0 mod N) included
+        assert all(divided[n, g] for g in range(2, n + 1) if n % g == 0), divided
 
 
 def test_rational_check_catches_a_lost_factor(monkeypatch):
@@ -413,7 +425,9 @@ def test_json_lines_are_sorted_json_of_the_states():
     rng = random.Random(67)
     cases = [(Fraction(7, 6), Params(7, Fraction(11, 10)), 300),    # cof 7 throughout
              (Fraction(2, 3), Params(2, Fraction(1, 3)), 5),         # raw (2, 2) is 1
-             (Fraction(6, 5), Params(5, Fraction(11, 10)), 600)]     # > 2 blocks of lines
+             (Fraction(6, 5), Params(5, Fraction(11, 10)), 600),     # cof 1 throughout
+             (Fraction(19, 7), Params(12, Fraction(2)), 600),        # cof moves at most steps
+             (Fraction(31, 20), Params(4, Fraction(3, 4)), 200)]     # reaches 1 with cof 2^32
     for _ in range(150):
         p = random_params(rng, rng.randint(2, 12))
         cases.append((random_rational_in(p, rng), p, rng.randint(1, 120)))
@@ -429,6 +443,12 @@ def test_json_lines_are_sorted_json_of_the_states():
                    for st in trace.states] if trace.kind == "rational" else []
         seen["reduced differs"] += any(reduced)
     assert seen["reduced differs"] >= 10
+    # the two orbits that keep reducing cover what their comments say
+    keep = orbit_rational(Fraction(19, 7), Params(12, Fraction(2)), 600)
+    assert keep.params.left_end_quotient is not None
+    assert sum(a != b for a, b in zip(keep.cofs, keep.cofs[1:])) == 457
+    one = orbit_rational(Fraction(31, 20), Params(4, Fraction(3, 4)), 200)
+    assert one.one_at == 77 and one.cofs[77] == 2 ** 32
     for kind in (PERIODIC, REACHED_ONE, NO_PERIOD):
         assert seen["rational", kind] >= 5, seen
     assert seen["quadratic", PERIODIC] >= 1 and seen["quadratic", NO_PERIOD] >= 5, seen
