@@ -355,20 +355,15 @@ def solve_quadratic(c2: int, c1: int, c0: int) -> tuple:
     return (minus, plus) if c2 > 0 else (plus, minus)
 
 
-def _mobius_entries(m) -> tuple[int, int, int, int]:
-    if isinstance(m, tuple):
-        return m
-    return (m.a, m.b, m.c, m.d)
-
-
 def solve_mobius_fixed_point(m, shift: int, lo=None, hi=None) -> ExactNumber:
-    """Unique root of  x + shift = (a*x + b)/(c*x + d)  inside [lo, hi].
+    """Unique root of  x + shift = (a*x + b)/(c*x + d)  inside [lo, hi], for
+    m a Mobius or any tuple (a, b, c, d).
 
     The equation expands to c*x^2 + (d + shift*c - a)*x + (shift*d - b) = 0
     over the integers.  ``None`` bounds are unbounded.  Raises NoRootInRange
     when the range does not isolate exactly one real root.
     """
-    a, b, c, d = _mobius_entries(m)
+    a, b, c, d = m
     roots = solve_quadratic(c, d + shift * c - a, shift * d - b)
     hits = [r for r in roots
             if (lo is None or compare_exact(r, lo) >= 0)

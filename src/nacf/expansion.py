@@ -11,11 +11,10 @@ the convergents, and the alternating order used to certify expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, solve_mobius_fixed_point, surd, _as_exact,
@@ -45,22 +44,56 @@ def alpha_max(n: int) -> ExactNumber:
     return surd(-1, 1, n)
 
 
-@dataclass(frozen=True)
-class Params:
+class _Value:
+    """Base of the value classes that check their input or cache values
+    (Params, DigitWord, ParamInterval, OrbitTrace).  Each ``__init__`` runs
+    its checks and then writes the fields named in ``_fields`` to the
+    instance dict once; == and hash are those fields', as are the
+    ``Name(field=value, ...)`` repr, and assignment and deletion raise
+    AttributeError.  ``functools.cached_property`` writes to the instance
+    dict directly, so cached values still fill.  The plain records are
+    NamedTuples.  Neither is a dataclass: importing dataclasses (with
+    inspect behind it) and building the classes took about 25 ms of each
+    CLI start, more than most commands' own work."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(_Value):
     """A pair (N, alpha) with N >= 2 and 0 < alpha <= sqrt(N) - 1, checked exactly."""
 
-    N: int
-    alpha: ExactNumber
+    _fields = ("N", "alpha")
 
-    def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
+    def __init__(self, N: int, alpha: ExactNumber):
+        if not isinstance(N, int) or N < 2:
             raise ValueError("N must be an integer >= 2")
-        object.__setattr__(self, "alpha", _as_exact(self.alpha))
-        if not isinstance(self.alpha, (Fraction, Surd)):
+        alpha = _as_exact(alpha)
+        if not isinstance(alpha, (Fraction, Surd)):
             raise TypeError("alpha must be an exact number")
-        if compare_exact(self.alpha, 0) <= 0 or \
-                compare_exact(self.alpha, alpha_max(self.N)) > 0:
+        if compare_exact(alpha, 0) <= 0 or compare_exact(alpha, alpha_max(N)) > 0:
             raise ValueError("alpha must lie in (0, sqrt(N)-1]")
+        self.__dict__.update(N=N, alpha=alpha)
 
     @cached_property
     def upper(self) -> ExactNumber:
@@ -114,8 +147,7 @@ class Params:
                 and compare_exact(x, self.upper) <= 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Mobius:
+class Mobius(NamedTuple):
     """2x2 integer matrix acting projectively: (a*x + b)/(c*x + d)."""
 
     a: int
@@ -202,8 +234,7 @@ def _minimal_repetend(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-@dataclass(frozen=True)
-class DigitWord:
+class DigitWord(_Value):
     """A digit prefix plus an optional periodic tail, kept canonical.
 
     Canonical form: the repetend is minimal and the prefix is as short as
@@ -212,12 +243,11 @@ class DigitWord:
     Text form: "[0; 8, (1)]" with the parenthesised block repeating.
     """
 
-    prefix: tuple[int, ...]
-    period: Optional[tuple[int, ...]] = None
+    _fields = ("prefix", "period")
 
-    def __post_init__(self):
-        prefix = tuple(int(d) for d in self.prefix)
-        period = None if self.period is None else tuple(int(d) for d in self.period)
+    def __init__(self, prefix: Iterable[int], period: Optional[Iterable[int]] = None):
+        prefix = tuple(int(d) for d in prefix)
+        period = None if period is None else tuple(int(d) for d in period)
         if period is not None and not period:
             raise ValueError("period must be nonempty when present")
         for d in prefix + (period or ()):
@@ -230,8 +260,7 @@ class DigitWord:
                 prefix.pop()
                 period = period[-1:] + period[:-1]
             prefix = tuple(prefix)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
+        self.__dict__.update(prefix=prefix, period=period)
 
     def digit_at(self, i: int) -> int:
         """0-based digit access, following the periodic tail when present."""

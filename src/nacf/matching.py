@@ -41,17 +41,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exact import (ExactNumber, compare_exact, format_exact, rational_between,
                     surd, _as_exact, _compare_views, _int_str, _root_view,
                     _strong_probable_prime, _PRIME_PROOF_BOUND)
 from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
                         alpha_max, all_digits_coprime, projective_equiv, step,
-                        _running_products)
+                        _running_products, _Value)
 from .orbits import PERIODIC, InvariantViolation, orbit_rational
 
 STABLE = "stable"
@@ -87,21 +86,18 @@ class MismatchDetected(Exception):
     """A recomputed quantity disagrees with its closed form."""
 
 
-@dataclass(frozen=True)
-class ParamInterval:
+class ParamInterval(_Value):
     """An interval of parameters with exact rational or surd endpoints."""
 
-    lo: ExactNumber
-    hi: ExactNumber
-    lo_open: bool = True
-    hi_open: bool = True
+    _fields = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _as_exact(self.lo))
-        object.__setattr__(self, "hi", _as_exact(self.hi))
-        c = compare_exact(self.lo, self.hi)
-        if c > 0 or (c == 0 and (self.lo_open or self.hi_open)):
-            raise EmptyInterval(f"lo={format_exact(self.lo)} hi={format_exact(self.hi)}")
+    def __init__(self, lo: ExactNumber, hi: ExactNumber, lo_open: bool = True,
+                 hi_open: bool = True):
+        lo, hi = _as_exact(lo), _as_exact(hi)
+        c = compare_exact(lo, hi)
+        if c > 0 or (c == 0 and (lo_open or hi_open)):
+            raise EmptyInterval(f"lo={format_exact(lo)} hi={format_exact(hi)}")
+        self.__dict__.update(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open)
 
     def contains(self, x) -> bool:
         cl = compare_exact(self.lo, x)
@@ -140,8 +136,7 @@ class ParamInterval:
         return f"{left}{format_exact(self.lo)}, {format_exact(self.hi)}{right}"
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     alpha: Fraction
     N: int
     K: int
@@ -160,8 +155,7 @@ class MatchReport:
                 "stable": self.stable}
 
 
-@dataclass(frozen=True)
-class NoMatchWithinBudget:
+class NoMatchWithinBudget(NamedTuple):
     alpha: Fraction
     N: int
     budget: int
@@ -401,8 +395,7 @@ def cylinder_interval(kind: str, digits: Sequence[int], n: int) -> ParamInterval
     return _cylinder(n, [(int(kind == "alpha_plus_one"), digits, _running_products(n, digits))])
 
 
-@dataclass(frozen=True)
-class MatchingInterval:
+class MatchingInterval(NamedTuple):
     alpha: Fraction
     N: int
     K: int
@@ -431,8 +424,7 @@ def matching_interval(alpha, n: int, budget: int = 40) -> MatchingInterval:
     return _EndpointOrbits(alpha, n, budget).interval(budget)
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     holds: bool
     reason: str
 
@@ -528,8 +520,7 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     return Obstruction(True, "digits coprime with N; early N-divisible steps cleared")
 
 
-@dataclass(frozen=True)
-class BadRationalCertificate:
+class BadRationalCertificate(NamedTuple):
     """Mod-2 residue certificate that 1/2^n sits in no matching interval."""
 
     n: int
@@ -656,8 +647,7 @@ FAMILIES = _family_table()
 _FAMILY_MATCH_BUDGET = 64  # point-match scan budget for the family checks
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     family: str
     k: int
     alpha: Fraction

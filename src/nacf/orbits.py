@@ -35,16 +35,16 @@ the previous line's reduced t text whenever cof did not change at that step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded)
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exact import (Surd, compare_exact, _as_exact, _lowest_terms, _surd_parts,
                     _view_printer)
-from .expansion import OutOfDomain, Params, all_digits_coprime, step, _lasso, _surd_step
+from .expansion import (OutOfDomain, Params, all_digits_coprime, step, _lasso, _surd_step,
+                        _Value)
 
 
 class InvariantViolation(RuntimeError):
@@ -56,8 +56,7 @@ PERIODIC = "periodic"
 NO_PERIOD = "no-period-within-budget"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
     pre_period: Optional[int] = None  # minimal pre-period
     period: Optional[int] = None      # minimal period
@@ -80,16 +79,14 @@ class Verdict:
         return "NoPeriodWithinBudget"
 
 
-@dataclass(frozen=True, slots=True)
-class RationalOrbitState:
+class RationalOrbitState(NamedTuple):
     index: int
     t: int  # raw numerator per the recurrence, not reduced
     s: int
     value: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class QuadCoeffState:
+class QuadCoeffState(NamedTuple):
     index: int
     A: int
     B: int
@@ -98,8 +95,7 @@ class QuadCoeffState:
     value: Surd
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(_Value):
     """An orbit stored as a lasso: the states x_0..x_r and digits d_1..d_r up
     to the first repeated value (or the budget), read modulo the cycle
     beyond that point.
@@ -110,13 +106,14 @@ class OrbitTrace:
     ``cofs`` (the raw pair is cof times the reduced pair), a quadratic one
     ``coeffs``, the (A, B, C) of each state."""
 
-    kind: str  # "rational" | "quadratic"
-    params: Params
-    digits: tuple[int, ...]
-    verdict: Verdict
-    points: tuple
-    cofs: tuple[int, ...] = ()
-    coeffs: tuple[tuple[int, int, int], ...] = ()
+    _fields = ("kind", "params", "digits", "verdict", "points", "cofs", "coeffs")
+
+    def __init__(self, kind: str, params: Params, digits: tuple[int, ...], verdict: Verdict,
+                 points: tuple, cofs: tuple[int, ...] = (),
+                 coeffs: tuple[tuple[int, int, int], ...] = ()):
+        # kind is "rational" or "quadratic"
+        self.__dict__.update(kind=kind, params=params, digits=digits, verdict=verdict,
+                             points=points, cofs=cofs, coeffs=coeffs)
 
     def _lasso_index(self, k: int, stored: int) -> int:
         if 0 <= k < stored:
@@ -408,8 +405,7 @@ def reaches_one(x, p: Params, budget: int = 1000) -> bool:
     return i is not None
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     raw_t_residues: tuple[int, ...]       # raw t_n mod N
     reduced_t_residues: tuple[int, ...]   # reduced numerators mod N
     common_prime_found: bool              # some prime not dividing N divides a raw pair
@@ -439,8 +435,7 @@ def divisibility_diagnostics(trace: OrbitTrace, n: int) -> DivisibilityReport:
     return DivisibilityReport(raw, reduced, common, increasing)
 
 
-@dataclass(frozen=True)
-class NonPeriodicityCertificate:
+class NonPeriodicityCertificate(NamedTuple):
     certified: bool
     reason: Optional[str] = None
 

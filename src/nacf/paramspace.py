@@ -17,9 +17,9 @@ radicand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 from .exact import (ExactNumber, floor_exact, surd, _as_exact, _decimal_printer,
                     _sign, _surd_parts)
 from .expansion import alpha_max
@@ -30,8 +30,7 @@ class NotApplicable(ValueError):
     """The requested region is only established for odd N >= 5."""
 
 
-@dataclass(frozen=True)
-class DigitSetCell:
+class DigitSetCell(NamedTuple):
     interval: ParamInterval  # half-open (lo, hi]
     digit_lo: int
     digit_hi: int

@@ -682,6 +682,18 @@ def test_closed_stdout_ends_quietly():
         assert proc.stderr.read() == b""
 
 
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # a CLI run is one short process, and importing dataclasses (with
+    # inspect, ast, dis and tokenize behind it) and building its classes
+    # once took about 25 ms of each start
+    src = os.path.dirname(os.path.dirname(nacf.cli.__file__))
+    code = ("import sys, nacf.cli; nacf.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_outputs_reparse_to_exact_values(capsys):
     _, out, _ = run(capsys, "--format", "json", "interval", "--alpha", "13/72", "--N", "2")
     data = json.loads(out)

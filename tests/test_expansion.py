@@ -16,6 +16,8 @@ from nacf.expansion import (ADD_ONE, DigitWord, Mobius, NoValidTail,
                             convergents, digit_set, evaluate, expand,
                             projective_equiv, step, validate_expansion, xi,
                             _first_difference)
+from nacf.matching import EmptyInterval, ParamInterval
+from nacf.orbits import orbit_rational
 
 
 def test_params_validation():
@@ -35,6 +37,49 @@ def test_params_pickle_after_their_kernels_are_built():
         assert p.rational_digit(1, 1) == step(Fraction(1), p)[0]
         copy = pickle.loads(pickle.dumps(p))
         assert copy == p and copy.rational_digit(1, 1) == p.rational_digit(1, 1)
+
+
+def test_checked_classes_are_frozen_values():
+    # Params, DigitWord, ParamInterval and OrbitTrace check or cache in
+    # their own classes: each compares and hashes by its fields, prints
+    # them as Name(field=value, ...), equals no tuple of them, refuses
+    # assignment and deletion, and survives a pickle round trip
+    p = Params(7, Fraction(11, 10))
+    trace = orbit_rational(Fraction(7, 6), p, 5)
+    cases = [
+        (p, Params(7, Fraction(22, 20)), Params(7, Fraction(6, 5)), ("N", "alpha"),
+         "Params(N=7, alpha=Fraction(11, 10))"),
+        (DigitWord((1, 2, 1), (1,)), DigitWord([1, 2], (1, 1)), DigitWord((1, 2)),
+         ("prefix", "period"), "DigitWord(prefix=(1, 2), period=(1,))"),
+        (ParamInterval(1, 2, True, False), ParamInterval(Fraction(1), Fraction(2), True, False),
+         ParamInterval(1, 2), ("lo", "hi", "lo_open", "hi_open"),
+         "ParamInterval(lo=Fraction(1, 1), hi=Fraction(2, 1), lo_open=True, hi_open=False)"),
+        (trace, orbit_rational(Fraction(7, 6), Params(7, Fraction(11, 10)), 5),
+         orbit_rational(Fraction(7, 6), p, 4),
+         ("kind", "params", "digits", "verdict", "points", "cofs", "coeffs"),
+         "OrbitTrace(kind='rational', params=Params(N=7, alpha=Fraction(11, 10)), "
+         "digits=(4, 2, 3, 3, 4), verdict=Verdict(kind='no-period-within-budget', "
+         "pre_period=None, period=None), points=((7, 6), (2, 1), (3, 2), (5, 3), (6, 5), "
+         "(11, 6)), cofs=(1, 7, 7, 7, 7, 7), coeffs=())"),
+    ]
+    for x, same, other, fields, text in cases:
+        assert x == same and hash(x) == hash(same) and x is not same, text
+        assert x != other and not x == other, text
+        assert repr(x) == text
+        assert x != tuple(getattr(x, f) for f in fields), text
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, f, getattr(x, f))
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        assert pickle.loads(pickle.dumps(x)) == x, text
+    # cached values still fill on a frozen instance
+    assert p.upper == Fraction(21, 10) and p.upper is p.upper
+    assert trace.first_index[(2, 1)] == 1
+    with pytest.raises(EmptyInterval, match=r"^lo=2 hi=1$"):
+        ParamInterval(2, 1)
+    with pytest.raises(EmptyInterval, match=r"^lo=1/3 hi=1/3$"):
+        ParamInterval(Fraction(1, 3), Fraction(1, 3), False, True)
 
 
 def test_digit_set_examples():

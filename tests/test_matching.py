@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +30,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
                            verify_theorem_intervals, _EndpointOrbits, _Orbit)
-from nacf.orbits import PERIODIC, InvariantViolation, orbit_rational
+from nacf.orbits import PERIODIC, InvariantViolation, OrbitTrace, orbit_rational
 
 
 def iterate(x, p, count):
@@ -716,7 +715,8 @@ def test_an_n2_orbit_cycling_away_from_one_is_an_internal_error(monkeypatch, cap
 
     def relabelled(x, p, budget=1000):
         trace = orbit(x, p, budget)
-        return dataclasses.replace(trace, verdict=dataclasses.replace(trace.verdict, kind=PERIODIC))
+        return OrbitTrace(trace.kind, trace.params, trace.digits,
+                          trace.verdict._replace(kind=PERIODIC), trace.points, trace.cofs)
 
     monkeypatch.setattr(nacf.matching, "orbit_rational", relabelled)
     with pytest.raises(InvariantViolation):

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import json
 import math
@@ -15,7 +14,7 @@ from nacf.exact import compare_exact, floor_exact, format_exact, surd
 from nacf import orbits
 from nacf.expansion import OutOfDomain, Params, expand, step, xi
 from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE, InvariantViolation,
-                         discriminant_check, divisibility_diagnostics,
+                         OrbitTrace, discriminant_check, divisibility_diagnostics,
                          nonperiodicity_certificate, orbit_quadratic,
                          orbit_rational, quad_coefficients, reaches_one)
 
@@ -466,7 +465,8 @@ def test_json_lines_check_the_shadow_against_the_orbit(x, p, budget):
     for k in (0, len(trace.digits) // 2, len(trace.digits) - 1):
         digits = list(trace.digits)
         digits[k] += 1
-        altered = dataclasses.replace(trace, digits=tuple(digits))
+        altered = OrbitTrace(trace.kind, trace.params, tuple(digits), trace.verdict,
+                             trace.points, trace.cofs, trace.coeffs)
         with pytest.raises(InvariantViolation, match="decimal shadow disagrees"):
             list(altered.json_lines())
 
