@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .exact import (ExactNumber, NoRootInRange, Surd, compare_exact,
                     floor_exact, solve_mobius_fixed_point, surd, _as_exact,
                     _floor_linear_surd, _int_str, _lowest_terms, _sign3,
-                    _surd_parts, _view_str)
+                    _strong_probable_prime, _surd_parts, _view_str, _PRIME_PROOF_BOUND)
 
 
 class OutOfDomain(ValueError):
@@ -301,9 +301,30 @@ def digit_set(p: Params) -> range:
     return range(d_min, d_max + 1)
 
 
-def all_digits_coprime(p: Params) -> bool:
-    """Whether every available digit is coprime with N."""
-    return all(math.gcd(p.N, d) == 1 for d in p.digit_range)
+# all_digits_coprime takes at most this many gcds
+_COPRIME_SCAN_MAX = 1 << 20
+
+
+def all_digits_coprime(p: Params) -> Optional[bool]:
+    """Whether every available digit is coprime with N, or None when that
+    stays undecided, in bounded time.
+
+    A range of N or more digits holds a multiple of N.  A shorter one is
+    scanned with at most 2^20 gcds, and past 2^20 digits a prime N, proved
+    so below exact._PRIME_PROOF_BOUND, is decided first: it shares a factor
+    only with its multiples.  Any other N is scanned over the first 2^20
+    digits, which meet a multiple of each of its prime factors below 2^20,
+    and gives None if they are all coprime with it.
+    """
+    n, ds = p.N, p.digit_range
+    size = ds.stop - ds.start  # len() fails past sys.maxsize
+    if size >= n:
+        return False
+    if size > _COPRIME_SCAN_MAX and n < _PRIME_PROOF_BOUND and _strong_probable_prime(n):
+        return -(-ds.start // n) * n >= ds.stop  # the first multiple of N lies past the range
+    if not all(math.gcd(n, d) == 1 for d in ds[:_COPRIME_SCAN_MAX]):
+        return False
+    return True if size <= _COPRIME_SCAN_MAX else None
 
 
 def step(x, p: Params) -> tuple[int, ExactNumber]:

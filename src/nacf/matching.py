@@ -466,13 +466,18 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
     are cut at 64 steps, and the certificate declines past that.  It also
     declines outright when N divides t0 + s0, or when N divides t0 and is
     composite or too large for :func:`exact._strong_probable_prime` to prove
-    prime.  Where both endpoints are coprime it iterates neither orbit.
+    prime, and where :func:`expansion.all_digits_coprime` leaves the
+    hypothesis undecided.  Where both endpoints are coprime it iterates
+    neither orbit.
     """
     alpha = _as_exact(alpha)
     if not isinstance(alpha, Fraction):
         raise ValueError("the obstruction applies to rational parameters")
     p = Params(n, alpha)
-    if not all_digits_coprime(p):
+    coprime = all_digits_coprime(p)
+    if coprime is None:
+        return Obstruction(False, "cannot decide whether every digit is coprime with N")
+    if not coprime:
         return Obstruction(False, "some digit shares a factor with N")
     if p.left_end_quotient is not None:
         return Obstruction(False, "cut point: alpha maps to alpha + 1 in one step")
@@ -484,13 +489,16 @@ def no_matching_obstruction(alpha, n: int) -> Obstruction:
             return Obstruction(False, "N divides t0 and N is composite")
         if n >= _PRIME_PROOF_BOUND:
             return Obstruction(False, "N divides t0 and is past the proven range of the prime test")
-    ds = p.digit_range
+    lo, hi = p.digit_range.start, p.digit_range.stop
 
     def preimage(z: Fraction) -> Optional[Fraction]:
-        for d in ds:
-            if (z.numerator + d * z.denominator) % n == 0:
-                return Fraction(z.denominator, (z.numerator + d * z.denominator) // n)
-        return None
+        # N | P + d*Q fixes d = -P/Q mod N, and fewer than N digits hold at
+        # most one such d; with gcd(P, Q) = 1, no d solves it when gcd(Q, N) > 1
+        P, Q = z.numerator, z.denominator
+        if math.gcd(Q, n) != 1:
+            return None
+        d = lo + (-P * pow(Q, -1, n) - lo) % n
+        return Fraction(Q, (P + d * Q) // n) if d < hi else None
 
     heads = []
     for x, where in ((alpha, ""), (alpha + 1, " of alpha + 1")):

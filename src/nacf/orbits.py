@@ -4,21 +4,18 @@ The digit rule and the running branch product each live once, in
 :mod:`nacf.expansion`: a rational orbit takes its digits from the
 per-parameter kernel that :func:`step` uses, and a quadratic orbit under a
 rational alpha steps on the norm form (a^2 - b^2 r, a*c, c^2) of each
-point, which its own triple check forms.  Rational points are tracked
-both through reduced fractions (which decide periodicity) and through the
-raw recurrence t' = N*s - d*t, s' = t that the divisibility arguments
-reason about.  For t/s in lowest terms, gcd(N*s - d*t, t) = gcd(N, t), so
-each step divides by a gcd taken with N instead of one between two growing
-numerators.  That gcd is read from a running residue r = t mod N, so no
-step passes over the whole numerator for it: a step that divides by
-nothing has r' = -d*r mod N, and only after one that did is r taken again
-as t % N.  The gcd identity also ties the two tracks together: the raw
-pair is cof times the reduced pair, with cof = prod gcd(N, t_k) over the
-steps so far.  That implies rt*s = t*rs, and checking it costs two
-big-by-small products once the orbit turns coprime with N, where every
-later gcd is 1.  Cycle detection hashes each state once
-(``dict.setdefault``): a rational orbit's reduced pair, or a quadratic
-point's (a, b, c).
+point, which its own triple check forms.  A rational orbit runs one
+integer track, the reduced pair t/s, which decides periodicity, and a
+running cof = prod gcd(N, t_k), so that the raw pair of t' = N*s - d*t,
+s' = t, which the divisibility arguments reason about, is cof times it.
+For t/s in lowest terms, gcd(N*s - d*t, t) = gcd(N, t), so each step
+divides by a gcd taken with N instead of one between two growing
+numerators, and checks that it divides exactly (see :func:`orbit_rational`).
+That gcd is read from a running residue r = t mod N, so no step passes
+over the whole numerator for it: a step that divides by nothing has
+r' = -d*r mod N, and only after one that did is r taken again as t % N.
+Cycle detection hashes each state once (``dict.setdefault``): a rational
+orbit's reduced pair, or a quadratic point's (a, b, c).
 Quadratic irrationals carry an integer coefficient triple (A, B, C) with
 A x^2 + B x + C = 0 alongside the exactly iterated surd.
 
@@ -253,15 +250,23 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
 def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
     """Orbit of a rational point, with cycle detection on reduced values.
 
-    Raw (t, s) follow the recurrence t' = N*s - d*t, s' = t from the same
-    digits, and are checked at every step to be cof times the reduced pair;
-    the trace keeps the digits, the reduced pairs and cof.  Each step
-    reduces by g = gcd(N, r) with r = t mod N carried along (r' = -d*r mod N
-    when g = 1, a fresh t % N after a division), and looks its reduced
-    pair up in the seen states with one ``setdefault``.  The verdict
-    reports (pre-period, period) of the first repeated reduced value, a
-    special kind when the detected cycle is the fixed point 1, or budget
-    exhaustion.
+    The trace keeps the digits, the reduced pairs and cof, with the raw
+    pair of the recurrence t' = N*s - d*t, s' = t equal to cof times the
+    reduced pair.  Each step reduces by g = gcd(N, r) with r = t mod N
+    carried along (r' = -d*r mod N when g = 1, a fresh t % N after a
+    division), and looks its reduced pair up in the seen states with one
+    ``setdefault``.  The verdict reports (pre-period, period) of the first
+    repeated reduced value, a special kind when the detected cycle is the
+    fixed point 1, or budget exhaustion.
+
+    The raw pair needs no second recurrence to check it.  If raw = cof*(t, s),
+    then raw' = (N*cof*s - d*cof*t, cof*t) = cof*(N*s - d*t, t) and
+    cof' = cof*g, so raw' = cof'*reduced' exactly when g divides both
+    N*s - d*t and t, with the quotients as reduced'.  A step with g > 1
+    therefore takes both divisions with ``divmod`` and raises
+    InvariantViolation on a nonzero remainder, which is exactly the fault
+    a comparison with a separately iterated raw pair would detect; a step
+    with g = 1 divides by nothing and has nothing to check.
     """
     x = _as_exact(x)
     if not isinstance(x, Fraction):
@@ -272,8 +277,7 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         raise ValueError("budget must be >= 1")
 
     N, digit = p.N, p.rational_digit
-    rt, rs = x.numerator, x.denominator     # raw
-    t, s = rt, rs                           # reduced
+    t, s = x.numerator, x.denominator       # reduced
     r = t % N                               # reduced t mod N
     cof = 1                                 # raw = cof * reduced
     digits: list[int] = []
@@ -285,21 +289,16 @@ def orbit_rational(x, p: Params, budget: int = 1000) -> OrbitTrace:
         d = digit(t, s)
         if d < 1:
             raise InvariantViolation("digit below 1; point drifted out of domain")
-        rt, rs = N * rs - d * rt, rt
         g = math.gcd(N, r)  # = gcd(N, t)
         if g == 1:
             t, s = N * s - d * t, t
             r = -d * r % N  # N*s - d*t = -d*t (mod N)
         else:
-            t, s = (N * s - d * t) // g, t // g
+            (t, lost_t), (s, lost_s) = divmod(N * s - d * t, g), divmod(t, g)
+            if lost_t or lost_s:
+                raise InvariantViolation("raw pair is not cof times the reduced value")
             r = t % N
             cof *= g
-        if cof == 1:  # the same test as below, without multiplying by 1
-            lost = rt != t or rs != s
-        else:
-            lost = rt != cof * t or rs != cof * s
-        if lost:
-            raise InvariantViolation("raw recurrence disagrees with reduced value")
         digits.append(d)
         key = (t, s)
         pairs.append(key)
@@ -448,11 +447,11 @@ def nonperiodicity_certificate(x0, p: Params) -> NonPeriodicityCertificate:
 
     Rational points: every digit coprime with N and alpha > 1.  Quadratic
     points: every digit coprime with N, N odd, and gcd(C_0, N) = 1 for the
-    primitive coefficient triple.  Anything else is NotCertified; budget
-    exhaustion is never treated as evidence.
+    primitive coefficient triple.  Anything else (an undecided coprimality
+    too) is NotCertified; budget exhaustion is never treated as evidence.
     """
     x0 = _as_exact(x0)
-    if not p.contains(x0) or not all_digits_coprime(p):
+    if not p.contains(x0) or all_digits_coprime(p) is not True:
         return NonPeriodicityCertificate(False)
     if isinstance(x0, Fraction):
         if compare_exact(p.alpha, 1) > 0:

@@ -247,6 +247,11 @@ def test_match_negative_exit(capsys):
     assert code == 3
     data = json.loads(out)
     assert data["match"] is None and data["obstruction"]["holds"]
+    # a miss within the budget where the certificate does not apply
+    code, out, _ = run(capsys, "--format", "json", "match",
+                       "--alpha", "7/5", "--N", "6", "--budget", "50")
+    assert (code, out) == (3, '{"N": 6, "alpha": "7/5", "budget": 50, "certificates": [], '
+                              '"match": null, "obstruction": null}\n')
 
 
 def test_match_above_two_reports_the_match(capsys):
@@ -406,6 +411,12 @@ def test_verify_families(capsys):
     assert code == 0
     for fam in ("i", "ii", "iii", "iv"):
         assert f"family {fam}: 2/2 pass" in out
+    # family iii has no stable match at k = 4 within its search bound
+    code, out, _ = run(capsys, "verify", "--family", "iii", "--k", "3..4")
+    assert code == 4
+    lines = out.splitlines()
+    assert "family iii: 1/2 pass" in lines
+    assert any(line.startswith("  k=4: MISMATCH in expansion of alpha, ") for line in lines)
 
 
 def test_parse_errors_exit_one(capsys):

@@ -337,6 +337,31 @@ def test_projective_equiv_examples():
     assert not projective_equiv(Mobius(1, 1, 0, 1), Mobius(1, 1, 1, 1))
 
 
+def test_all_digits_coprime_agrees_with_a_gcd_scan():
+    # the bounded decision against one gcd per digit, for every p/q in
+    # lowest terms with q <= 30 in (0, sqrt(N) - 1], i.e. p + q <= sqrt(N) q
+    for n in range(2, 41):
+        for q in range(1, 31):
+            for num in range(1, math.isqrt(n * q * q) - q + 1):
+                if math.gcd(num, q) == 1:
+                    p = Params(n, Fraction(num, q))
+                    want = all(math.gcd(n, d) == 1 for d in p.digit_range)
+                    assert all_digits_coprime(p) is want, (n, num, q)
+
+
+def test_all_digits_coprime_past_the_scan():
+    # past 2^20 digits a prime N is decided by its multiples (the range of
+    # 7/3 is longer than sys.maxsize, so len() of it would raise), and N or
+    # more digits hold a multiple of N, here for a product of two primes
+    # near 2^30 that the first 2^20 digits miss (test_matching's undecided
+    # case)
+    n = 10 ** 20 + 39
+    assert all_digits_coprime(Params(n, Fraction(10))) is True
+    assert all_digits_coprime(Params(n, Fraction(7, 3))) is True
+    assert all_digits_coprime(Params(n, Fraction(9, 10))) is False  # N is a digit
+    assert all_digits_coprime(Params(1073741827 * 1073741831, Fraction(1, 2))) is False
+
+
 def test_coprime_numerators_inside_coprime_region():
     rng = random.Random(15)
     for p in (Params(5, Fraction(6, 5)), Params(7, Fraction(8, 7))):

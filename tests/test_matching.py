@@ -19,8 +19,8 @@ from conftest import random_params, random_rational_in
 from nacf.cli import main
 from nacf.exact import (NoRootInRange, compare_exact, floor_exact,
                         rational_between, solve_mobius_fixed_point, surd)
-from nacf.expansion import (ADD_ONE, IDENTITY, Mobius, Params, alpha_max,
-                            branch_product, convergents, expand,
+from nacf.expansion import (ADD_ONE, IDENTITY, Mobius, Params, all_digits_coprime,
+                            alpha_max, branch_product, convergents, expand,
                             projective_equiv, step, _running_products)
 from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            EmptyInterval, MatchReport, NoMatchWithinBudget,
@@ -30,7 +30,8 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
                            verify_theorem_intervals, _EndpointOrbits, _Orbit)
-from nacf.orbits import PERIODIC, InvariantViolation, OrbitTrace, orbit_rational
+from nacf.orbits import (PERIODIC, InvariantViolation, OrbitTrace, nonperiodicity_certificate,
+                         orbit_rational)
 
 
 def iterate(x, p, count):
@@ -289,6 +290,30 @@ def test_obstruction_at_a_prime_n_past_trial_division():
     assert (proc.returncode, proc.stderr) == (3, "")
     certificate = {"holds": True, "reason": "digits coprime with N; early N-divisible steps cleared"}
     assert json.loads(proc.stdout)["certificates"] == [certificate]
+
+
+def test_match_at_a_large_prime_n_ends_in_time():
+    # at N = 10^20 + 39 the digits of alpha = 10 (about 9*10^17 of them) and
+    # of 1/2 (more than N) were checked for coprimality one gcd each
+    src = os.path.dirname(os.path.dirname(nacf.matching.__file__))
+    for alpha, code in (("10", 3), ("1/2", 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nacf.cli", "match", "--N", "100000000000000000039",
+             "--alpha", alpha, "--budget", "10"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (code, ""), alpha
+
+
+def test_obstruction_declines_where_coprimality_stays_undecided():
+    # N is a product of two primes near 2^30 that the first 2^20 of the
+    # about 10^16 digits of alpha = 10 miss
+    n = 1073741827 * 1073741831
+    assert all_digits_coprime(Params(n, Fraction(10))) is None
+    assert str(no_matching_obstruction(Fraction(10), n)) == (
+        "HypothesesFail: cannot decide whether every digit is coprime with N")
+    assert str(nonperiodicity_certificate(Fraction(21, 2), Params(n, Fraction(10)))) == (
+        "NotCertified")
 
 
 def test_obstruction_declines_where_the_prime_test_proves_nothing():

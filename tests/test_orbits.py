@@ -91,14 +91,34 @@ def test_raw_state_recurrence():
         assert all(divided[n, g] for g in range(2, n + 1) if n % g == 0), divided
 
 
+def _doubled_from_two():
+    # the true gcd until it first reads 2, twice the true gcd from there on
+    on = False
+
+    def gcd(a, b):
+        nonlocal on
+        g = math.gcd(a, b)
+        on = on or g == 2
+        return 2 * g if on else g
+    return gcd
+
+
 def test_rational_check_catches_a_lost_factor(monkeypatch):
-    # a step that divides by 2 where gcd(N, t) is 1 loses a factor of the
-    # reduced pair: here N*s - d*t = 5*5 - 2*7 = 11 is odd at the first step
-    p, x = Params(5, Fraction(6, 5)), Fraction(7, 5)
-    assert orbit_rational(x, p, 40).digits[0] == 2
-    monkeypatch.setattr(orbits, "math", SimpleNamespace(gcd=lambda *args: 2))
-    with pytest.raises(InvariantViolation, match="raw recurrence disagrees with reduced value"):
-        orbit_rational(x, p, 40)
+    cases = [
+        # a step that divides by 2 where gcd(N, t) is 1 loses a factor of the
+        # reduced pair: here N*s - d*t = 5*5 - 2*7 = 11 is odd at the first step
+        (5, Fraction(6, 5), Fraction(7, 5), lambda *args: 2),
+        # a step that really divides by gcd(12, t) = 2 is made to divide by 4,
+        # and t = 2 mod 4 there, so t // 4 leaves a remainder
+        (12, Fraction(2), Fraction(19, 7), _doubled_from_two()),
+    ]
+    for n, alpha, x, gcd in cases:
+        p = Params(n, alpha)
+        assert orbit_rational(x, p, 40).digits[0] == 2
+        monkeypatch.setattr(orbits, "math", SimpleNamespace(gcd=gcd))
+        with pytest.raises(InvariantViolation, match="raw pair is not cof times the reduced value"):
+            orbit_rational(x, p, 40)
+        monkeypatch.undo()
 
 
 def test_raw_numerators_increase_above_one():
