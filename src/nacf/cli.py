@@ -142,6 +142,12 @@ def _emit(obj, fmt):
             print(f"{key}: {_int_str(value) if isinstance(value, int) else value}")
 
 
+def _cap(command: str, name: str, value: int, cap: int):
+    """Refuse value past cap with "<command> needs <name> <= cap, got value"."""
+    if value > cap:
+        raise ValueError(f"{command} needs {name} <= {cap}, got {_int_str(value)}")
+
+
 def _interval_text(iv, precision):
     lo, hi = format_exact(iv.lo), format_exact(iv.hi)
     return (f"{'(' if iv.lo_open else '['}{lo} ~ {decimal_str(iv.lo, precision)}, "
@@ -149,11 +155,9 @@ def _interval_text(iv, precision):
 
 
 def _cmd_expand(args, cfg):
-    if args.n > EXPAND_N_MAX:
-        raise ValueError(f"expand needs n <= {EXPAND_N_MAX}, got {_int_str(args.n)}")
-    if not isinstance(args.x, Fraction) and args.n > QUADRATIC_BUDGET_MAX:
-        raise ValueError(f"expand of a surd needs n <= {QUADRATIC_BUDGET_MAX}, "
-                         f"got {_int_str(args.n)}")
+    _cap("expand", "n", args.n, EXPAND_N_MAX)
+    if not isinstance(args.x, Fraction):
+        _cap("expand of a surd", "n", args.n, QUADRATIC_BUDGET_MAX)
     p = Params(args.N, args.alpha)
     word = expand(args.x, p, args.n)
     if cfg["format"] == "json":
@@ -166,11 +170,9 @@ def _cmd_expand(args, cfg):
 def _cmd_orbit(args, cfg):
     budget = cfg["budget"]
     quadratic = args.quadratic or not isinstance(args.x, Fraction)
-    if budget > ORBIT_BUDGET_MAX:
-        raise ValueError(f"orbit needs budget <= {ORBIT_BUDGET_MAX}, got {_int_str(budget)}")
-    if quadratic and budget > QUADRATIC_BUDGET_MAX:
-        raise ValueError(f"a quadratic orbit needs budget <= {QUADRATIC_BUDGET_MAX}, "
-                         f"got {_int_str(budget)}")
+    _cap("orbit", "budget", budget, ORBIT_BUDGET_MAX)
+    if quadratic:
+        _cap("a quadratic orbit", "budget", budget, QUADRATIC_BUDGET_MAX)
     p = Params(args.N, args.alpha)
     # each line prints its digit with int's str, which from Python 3.11 on
     # refuses integers past sys.get_int_max_str_digits() digits; as
@@ -194,8 +196,7 @@ def _cmd_orbit(args, cfg):
 
 def _cmd_match(args, cfg):
     budget = cfg["budget"]
-    if budget > MATCH_BUDGET_MAX:
-        raise ValueError(f"match needs budget <= {MATCH_BUDGET_MAX}, got {_int_str(budget)}")
+    _cap("match", "budget", budget, MATCH_BUDGET_MAX)
     report, orbits = _match(args.alpha, args.N, budget)
     out = report.to_json()
     out["certificates"] = []
@@ -235,8 +236,7 @@ def _cmd_interval(args, cfg):
 
 
 def _cmd_badrat(args, cfg):
-    if args.n > BADRAT_N_MAX:
-        raise ValueError(f"badrat needs n <= {BADRAT_N_MAX}, got {_int_str(args.n)}")
+    _cap("badrat", "n", args.n, BADRAT_N_MAX)
     cert = bad_rational_certificate(args.n)
     if cfg["format"] == "json":
         print(_json(cert.to_json(), sort_keys=True))
@@ -253,8 +253,8 @@ def _cmd_badrat(args, cfg):
 
 
 def _cmd_kset(args, cfg):
-    if args.N is not None and args.N > KSET_N_MAX:
-        raise ValueError(f"kset needs N <= {KSET_N_MAX}, got {_int_str(args.N)}")
+    if args.N is not None:
+        _cap("kset", "N", args.N, KSET_N_MAX)
     n_min, n_max = (2, args.n_max) if args.N is None else (args.N, args.N)
     rows = _plot_rows(n_max, cfg["precision"], cfg["alpha_min"], n_min)
     write = sys.stdout.write
@@ -285,14 +285,13 @@ def _cmd_nomatch_regions(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    if len(args.k) > VERIFY_K_VALUES_MAX:
-        raise ValueError(f"verify takes at most {VERIFY_K_VALUES_MAX} k values, "
-                         f"got {len(args.k)}")
+    count = args.k.stop - args.k.start  # len() raises OverflowError past sys.maxsize
+    if count > VERIFY_K_VALUES_MAX:
+        raise ValueError(f"verify takes at most {VERIFY_K_VALUES_MAX} k values, got {count}")
     lo, hi = min(args.k), max(args.k)
     if lo < 0:  # the closed-form families are defined for k >= 0
         raise ValueError(f"verify needs k >= 0, got {lo}")
-    if hi > VERIFY_K_MAX:
-        raise ValueError(f"verify needs |k| <= {VERIFY_K_MAX}, got {hi}")
+    _cap("verify", "|k|", hi, VERIFY_K_MAX)
     fams = ["i", "ii", "iii", "iv"] if args.family == "all" else [args.family]
     matrices_only = args.what == "table"
     failed = 0

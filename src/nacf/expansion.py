@@ -187,10 +187,9 @@ IDENTITY = Mobius(1, 0, 0, 1)
 ADD_ONE = Mobius(1, 1, 0, 1)  # acts as x -> x + 1
 
 
-def _running_products(n: int, digits: Iterable[int]) -> Iterator[Mobius]:
-    """The running products M_i = M_{i-1} * branch(N, d_i) from M_0 = I, as
+def _running_products(n: int, digits: Iterable[int], m: Mobius = IDENTITY) -> Iterator[Mobius]:
+    """The running products M_i = M_{i-1} * branch(N, d_i) from M_0 = m, as
     M_1, M_2, ...: the one place that appends a digit to a product."""
-    m = IDENTITY
     for d in digits:
         m = m @ Mobius.branch(n, d)
         yield m

@@ -5,9 +5,9 @@ alpha + 1 meet: T^K(alpha) = T^L(alpha + 1).  Stability of a matched pair
 is decided through the projective criterion ADD_ONE * M_K ~ M_L on the
 digit matrices of the two orbits; stable pairs persist on a parameter
 interval, the cylinder of both orbits' digit prefixes.  That is one bound
-pair, solved on the prefix matrices the orbits hold and clamped once; the
-bounds are solved and compared as integer views, and only the final pair
-becomes surds.
+pair, solved on the prefix matrices each orbit's trace keeps (OrbitTrace.matrix
+over OrbitTrace.head) and clamped once; the bounds are solved and compared as
+integer views, and only the final pair becomes surds.
 Rationals that sit in no matching interval admit a mod-2 obstruction
 certificate, and a mod-N congruence obstruction rules out matching inside
 the coprime region.
@@ -32,14 +32,13 @@ eigenvalues 2 and -1; X ~ B^e means X commutes with B, so X = uI + vB, and
 (u + 2v)/(u - v) = (-2)^e.  At most one e qualifies, so matching_interval
 weighs at most two diagonal heads: D0's, checked directly, and that e's.
 
-A parameter's endpoint orbits, their prefix matrices, its minimal match
-and that match's diagonal stability are each decided once, on one
-_EndpointOrbits object that match, interval and verify all read.
+A parameter's endpoint orbits (two OrbitTrace values), its minimal match and
+that match's diagonal stability are each decided once, on one _EndpointOrbits
+object that match, interval and verify all read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -48,10 +47,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .exact import (ExactNumber, compare_exact, format_exact, rational_between,
                     surd, _as_exact, _compare_views, _int_str, _root_view,
                     _strong_probable_prime, _PRIME_PROOF_BOUND)
-from .expansion import (ADD_ONE, IDENTITY, DigitWord, Mobius, Params,
-                        alpha_max, all_digits_coprime, projective_equiv, step,
-                        _running_products, _Value)
-from .orbits import PERIODIC, InvariantViolation, orbit_rational
+from .expansion import (ADD_ONE, DigitWord, Mobius, Params, alpha_max, all_digits_coprime,
+                        projective_equiv, step, _running_products, _Value)
+from .orbits import PERIODIC, InvariantViolation, OrbitTrace, orbit_rational
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -76,7 +74,8 @@ class BadRational(Exception):
     proved = False
 
     def __init__(self, alpha, n, budget):
-        super().__init__(f"no stable matching for alpha={alpha} within K+L <= {_int_str(budget)}")
+        super().__init__(f"no stable matching for alpha={format_exact(alpha)} "
+                         f"within K+L <= {_int_str(budget)}")
         self.alpha = alpha
         self.N = n
         self.budget = budget
@@ -168,27 +167,6 @@ class NoMatchWithinBudget(NamedTuple):
                 else self.obstruction.to_json()}
 
 
-class _Orbit:
-    """One exact orbit, stored once as an OrbitTrace lasso, plus its prefix
-    matrices M_0 = I, M_k = M_{k-1} * branch(d_k), drawn on demand up to
-    the largest index asked for."""
-
-    def __init__(self, x0, p: Params, count: int):
-        self.trace = orbit_rational(x0, p, count)
-        self._matrices = [IDENTITY]
-        self._products = _running_products(p.N, self.trace.lasso_digits())
-
-    def matrix(self, k: int) -> Mobius:
-        ms = self._matrices
-        if len(ms) <= k:
-            ms.extend(itertools.islice(self._products, k + 1 - len(ms)))
-        return ms[k]
-
-    def head(self, k: int) -> tuple[int, ...]:
-        """The digits d_1..d_k."""
-        return tuple(itertools.islice(self.trace.lasso_digits(), k))
-
-
 class _EndpointOrbits:
     """The orbits of a rational alpha (``a``) and of alpha + 1 (``b``) over
     ``count`` steps, each built on first use (the constructor only checks
@@ -205,12 +183,12 @@ class _EndpointOrbits:
         self.alpha, self.N, self.count = self.params.alpha, n, count
 
     @cached_property
-    def a(self) -> _Orbit:
-        return _Orbit(self.params.alpha, self.params, self.count)
+    def a(self) -> OrbitTrace:
+        return orbit_rational(self.params.alpha, self.params, self.count)
 
     @cached_property
-    def b(self) -> _Orbit:
-        return _Orbit(self.params.upper, self.params, self.count)
+    def b(self) -> OrbitTrace:
+        return orbit_rational(self.params.upper, self.params, self.count)
 
     def stability(self, k: int, l: int) -> str:
         if projective_equiv(ADD_ONE @ self.a.matrix(k), self.b.matrix(l)):
@@ -224,8 +202,8 @@ class _EndpointOrbits:
         within the build.  Values first occur before the first repeat, so
         the stored points suffice, and they are matched as reduced pairs:
         equal pairs are equal values."""
-        first_a = self.a.trace.first_index
-        best = min(((i + j, i, j) for j, v in enumerate(self.b.trace.points)
+        first_a = self.a.first_index
+        best = min(((i + j, i, j) for j, v in enumerate(self.b.points)
                     if (i := first_a.get(v)) is not None), default=None)
         if best is None:
             return None
@@ -237,14 +215,14 @@ class _EndpointOrbits:
         if self.first_match is None:
             return NoMatchWithinBudget(self.alpha, self.N, self.count)
         k, l, stable = self.first_match
-        return MatchReport(self.alpha, self.N, k, l, self.a.trace.value_at(k), stable)
+        return MatchReport(self.alpha, self.N, k, l, self.a.value_at(k), stable)
 
     def stable_heads(self) -> list[tuple[int, int]]:
         """The head (K, L), K, L >= 1, of each stable diagonal K - L for
         N = 2: the minimal match's diagonal D0 and at most one tail diagonal
         D0 + e (see the module docstring)."""
-        ta, tb = self.a.trace, self.b.trace
-        if PERIODIC in (ta.verdict.kind, tb.verdict.kind):
+        a, b = self.a, self.b
+        if PERIODIC in (a.verdict.kind, b.verdict.kind):
             raise InvariantViolation("an N = 2 endpoint orbit cycles away from 1")
         if self.first_match is None:
             return []
@@ -252,11 +230,11 @@ class _EndpointOrbits:
         if k == 0 or l == 0:  # no digit prefix to pin a cylinder with; the
             k, l = k + 1, l + 1  # shifted head lies on the same diagonal
         heads = [(k, l)] if stable == STABLE else []
-        ka, kb = ta.one_at, tb.one_at
+        ka, kb = a.one_at, b.one_at
         if ka is None or kb is None:
             return heads
-        y, b1 = ADD_ONE @ self.a.matrix(ka), Mobius.branch(2, 1)
-        x = Mobius(y.d, -y.b, -y.c, y.a) @ self.b.matrix(kb)
+        y, b1 = ADD_ONE @ a.matrix(ka), Mobius.branch(2, 1)
+        x = Mobius(y.d, -y.b, -y.c, y.a) @ b.matrix(kb)
         if x @ b1 == b1 @ x:
             r = Fraction(x.a + 2 * x.c, x.a - x.c)  # (-2)^e exactly when X ~ B^e
             m = (abs(r.numerator) * r.denominator).bit_length() - 1
@@ -279,7 +257,7 @@ class _EndpointOrbits:
         first = min(((k + l, k, l) for k, l in heads if max(k, l) <= budget), default=None)
         if first is None:
             exc = BadRational(self.alpha, self.N, budget)
-            exc.proved = not heads and None not in (self.a.trace.one_at, self.b.trace.one_at)
+            exc.proved = not heads and None not in (self.a.one_at, self.b.one_at)
             raise exc
         _, k, l = first
         a, b = self.a, self.b
@@ -325,7 +303,7 @@ def stability_check(alpha, n: int, k: int, l: int) -> str:
     if k < 0 or l < 0:
         raise ValueError(f"stability_check needs K, L >= 0, got {k}, {l}")
     orbits = _EndpointOrbits(alpha, n, max(k, l) + 1)
-    if orbits.a.trace.point_at(k) != orbits.b.trace.point_at(l):
+    if orbits.a.point_at(k) != orbits.b.point_at(l):
         raise PrerequisiteNotMet(f"T^{k}(alpha) != T^{l}(alpha+1)")
     return orbits.stability(k, l)
 
@@ -566,7 +544,7 @@ def bad_rational_certificate(n: int) -> BadRationalCertificate:
     orbits = _EndpointOrbits(alpha, 2, pad)
     ok = orbits.a.head(pad) == word_a.head(pad)
     ok = ok and orbits.b.head(pad) == word_b.head(pad)
-    ok = ok and orbits.a.trace.point_at(1) == (1, 1) == orbits.b.trace.point_at(4)
+    ok = ok and orbits.a.point_at(1) == (1, 1) == orbits.b.point_at(4)
 
     rm = ADD_ONE @ orbits.a.matrix(1)
     m4 = orbits.b.matrix(4)
@@ -696,7 +674,7 @@ def verify_family(family: str, k: int, matrices_only: bool = False) -> FamilyChe
     equiv = projective_equiv(rm, mb)
     if not equiv:
         failures.append("projective equivalence")
-    if orbits.a.trace.point_at(kk) != orbits.b.trace.point_at(ll):
+    if orbits.a.point_at(kk) != orbits.b.point_at(ll):
         failures.append("stability (exponents do not match)")
     elif not equiv:
         failures.append("stability")

@@ -27,6 +27,8 @@ in the digits where int's is quadratic, and checks the shadow's last value
 against the integer orbit.  A rational line converts one new raw integer;
 where cof > 1 it divides and converts its reduced t, and its reduced s is
 the previous line's reduced t text whenever cof did not change at that step.
+A trace of either kind reads its heads d_1..d_k and prefix products M_k along
+the lasso (:meth:`OrbitTrace.head`, :meth:`OrbitTrace.matrix`) for matching.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexa
                      InvalidOperation, Overflow, Rounded)
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .exact import (Surd, compare_exact, _as_exact, _lowest_terms, _surd_parts,
                     _view_printer)
-from .expansion import (OutOfDomain, Params, all_digits_coprime, step, _lasso, _surd_step,
-                        _Value)
+from .expansion import (IDENTITY, Mobius, OutOfDomain, Params, all_digits_coprime, step,
+                        _lasso, _running_products, _surd_step, _Value)
 
 
 class InvariantViolation(RuntimeError):
@@ -144,6 +147,23 @@ class OrbitTrace(_Value):
         cycle = self.digits[v.pre_period:] if v.is_periodic else None
         return _lasso(self.digits, cycle,
                       f"step {len(self.digits)} lies beyond the orbit's budget")
+
+    def head(self, k: int) -> tuple[int, ...]:
+        """The digits d_1..d_k, read on through the cycle past the stored column."""
+        return self.digits[:k] if k <= len(self.digits) else tuple(islice(self.lasso_digits(), k))
+
+    @cached_property
+    def _matrices(self) -> list[Mobius]:
+        return [IDENTITY]
+
+    def matrix(self, k: int) -> Mobius:
+        """The prefix product M_k = branch(N, d_1) ... branch(N, d_k), M_0 = I,
+        kept in a list that a call past its end extends from its last entry.
+        The list is no field: == and hash ignore it, and a pickle loads equal."""
+        ms = self._matrices
+        if len(ms) <= k:
+            ms.extend(_running_products(self.params.N, self.head(k)[len(ms) - 1:], ms[-1]))
+        return ms[k]
 
     def values(self) -> list:
         if self.kind == "rational":

@@ -284,6 +284,18 @@ def test_interval_and_bad_rational(capsys):
     assert code == 3 and json.loads(out)["proved"] is False
 
 
+def test_an_alpha_past_the_str_digit_limit_keeps_its_answer(capsys):
+    # str() of a Fraction stops past 4300 digits on 3.11+; the BadRational
+    # message prints alpha with format_exact, so no answer is lost to it
+    alpha = "1/1" + "0" * 4400
+    code, out, err = run(capsys, "match", "--alpha", alpha, "--N", "2")
+    assert code == 0 and err == ""
+    assert out.startswith(f"alpha: {alpha}\n") and out.endswith("stable_exponents: None\n")
+    code, out, err = run(capsys, "interval", "--alpha", alpha, "--N", "2")
+    assert (code, out, err) == (3, f"alpha: {alpha}\nN: 2\nbad_rational_candidate: True\n"
+                                   "proved: True\n", "")
+
+
 def test_interval_rejects_surd_alpha(capsys):
     code, out, err = run(capsys, "interval", "--alpha", "(-1+1*sqrt(2))/2", "--N", "2")
     assert code == 2 and out == "" and "rational" in err
@@ -553,6 +565,9 @@ def test_verify_bounds_the_k_range(capsys):
     code, out, err = run(capsys, "verify", "--k", "0..100000")
     assert code == 2 and out == ""
     assert err == "error: verify takes at most 1000 k values, got 100001\n"
+    # past sys.maxsize values, where len() of a range raises OverflowError
+    assert run(capsys, "verify", "--k", "0..9223372036854775807") == (
+        2, "", "error: verify takes at most 1000 k values, got 9223372036854775808\n")
     code, out, _ = run(capsys, "verify", "--table", "--family", "i", "--k", "1..1000")
     assert code == 0 and out == "family i: 1000/1000 pass\n"
 

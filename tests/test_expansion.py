@@ -73,9 +73,16 @@ def test_checked_classes_are_frozen_values():
             with pytest.raises(AttributeError):
                 delattr(x, f)
         assert pickle.loads(pickle.dumps(x)) == x, text
-    # cached values still fill on a frozen instance
+    # cached values still fill on a frozen instance, and leave its ==, hash
+    # and pickle as they were: a trace's prefix matrices are no field
     assert p.upper == Fraction(21, 10) and p.upper is p.upper
     assert trace.first_index[(2, 1)] == 1
+    m3 = trace.matrix(3)
+    same = orbit_rational(Fraction(7, 6), p, 5)
+    assert trace == same and hash(trace) == hash(same)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert copy == trace and hash(copy) == hash(trace)
+    assert copy.matrix(3) == m3 and copy.matrix(5) == same.matrix(5)
     with pytest.raises(EmptyInterval, match=r"^lo=2 hi=1$"):
         ParamInterval(2, 1)
     with pytest.raises(EmptyInterval, match=r"^lo=1/3 hi=1/3$"):

@@ -29,7 +29,7 @@ from nacf.matching import (STABLE, UNSTABLE, UNKNOWN, BadRational,
                            detect_matching, equivalence_scan,
                            matching_interval, no_matching_obstruction,
                            stability_check, verify_family,
-                           verify_theorem_intervals, _EndpointOrbits, _Orbit)
+                           verify_theorem_intervals, _EndpointOrbits)
 from nacf.orbits import (PERIODIC, InvariantViolation, OrbitTrace, nonperiodicity_certificate,
                          orbit_rational)
 
@@ -808,24 +808,23 @@ def test_lasso_digits_read_as_digit_at(n, seed, budget):
     else:
         p = random_params(rng, n)
         x = random_rational_in(p, rng)
-    orbit = _Orbit(x, p, budget)
-    trace = orbit.trace
+    trace = orbit_rational(x, p, budget)
     stored = len(trace.digits)
     reach = 3 * stored + 2 if trace.verdict.is_periodic else stored
     want = tuple(map(trace.digit_at, range(reach)))
     assert tuple(itertools.islice(trace.lasso_digits(), reach)) == want
-    assert orbit.head(reach) == want
+    assert trace.head(reach) == want
     products = [IDENTITY, *_running_products(p.N, want)]
-    assert [orbit.matrix(k) for k in range(reach + 1)] == products
+    assert [trace.matrix(k) for k in range(reach + 1)] == products
     if not trace.verdict.is_periodic:
         with pytest.raises(IndexError):
             trace.digit_at(reach)
         with pytest.raises(IndexError, match="beyond the orbit's budget"):
             tuple(itertools.islice(trace.lasso_digits(), reach + 1))
         with pytest.raises(IndexError):
-            orbit.head(reach + 1)
+            trace.head(reach + 1)
         with pytest.raises(IndexError):
-            _Orbit(x, p, budget).matrix(reach + 1)
+            orbit_rational(x, p, budget).matrix(reach + 1)
 
 
 def _fraction_keyed_match(trace_a, trace_b):
@@ -846,7 +845,7 @@ def test_matches_on_reduced_pairs_equal_a_fraction_keyed_scan():
                 if alpha.denominator != q or (alpha + 1) ** 2 > n:
                     continue
                 orbits = _EndpointOrbits(alpha, n, 60)
-                ta, tb = orbits.a.trace, orbits.b.trace
+                ta, tb = orbits.a, orbits.b
                 want = _fraction_keyed_match(ta, tb)
                 got = orbits.first_match
                 assert (got and got[:2]) == (want and want[1:]), (alpha, n)

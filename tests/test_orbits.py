@@ -12,7 +12,7 @@ from conftest import (random_params, random_rational_in, random_surd_in,
                       step_by_definition)
 from nacf.exact import compare_exact, floor_exact, format_exact, surd
 from nacf import orbits
-from nacf.expansion import OutOfDomain, Params, expand, step, xi
+from nacf.expansion import IDENTITY, OutOfDomain, Params, branch_product, expand, step, xi
 from nacf.orbits import (NO_PERIOD, PERIODIC, REACHED_ONE, InvariantViolation,
                          OrbitTrace, discriminant_check, divisibility_diagnostics,
                          nonperiodicity_certificate, orbit_quadratic,
@@ -386,6 +386,35 @@ def test_lasso_reads_follow_the_map():
         with pytest.raises(IndexError):
             trace.value_at(-1)
     assert 50 <= periodic <= 250
+
+
+def test_quadratic_trace_matrices_are_branch_products_of_its_heads():
+    # a quadratic trace reads its heads and prefix matrices along the lasso
+    # as a rational one does; past the budget of a trace that found no
+    # cycle both raise IndexError
+    rng = random.Random(12)
+    cases = [(surd(0, 1, 2), Params(2, surd(-1, 1, 2)), 6),      # periodic
+             (surd(1, 1, 2), Params(9, Fraction(19, 10)), 8)]    # no period at 8
+    for _ in range(30):
+        p = random_params(rng, rng.randint(2, 7))
+        cases.append((random_surd_in(p, rng), p, rng.randint(1, 12)))
+    periodic = 0
+    for x, p, budget in cases:
+        trace = orbit_quadratic(x, p, budget)
+        v = trace.verdict
+        periodic += v.is_periodic
+        reach = 3 * v.first_repeat + 2 if v.is_periodic else budget
+        assert trace.matrix(0) == IDENTITY and trace.head(0) == ()
+        for k in range(reach + 1):
+            head = trace.head(k)
+            assert head == tuple(map(trace.digit_at, range(k)))
+            assert trace.matrix(k) == branch_product(p.N, head)
+        if not v.is_periodic:
+            with pytest.raises(IndexError):
+                trace.head(reach + 1)
+            with pytest.raises(IndexError):
+                trace.matrix(reach + 1)
+    assert periodic >= 1
 
 
 def test_trace_json_lines():
